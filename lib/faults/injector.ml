@@ -21,8 +21,6 @@ type t = {
   rng : Rng.t;
   mutable pending : Fault_plan.entry list;  (* sorted by round *)
   mutable heals : int list;  (* scheduled partition heals, sorted *)
-  mutable injected : int;
-  mutable skipped : int;
 }
 
 let declare_metrics tele =
@@ -37,13 +35,9 @@ let create ~plan ~ops =
     rng = Rng.create plan.Fault_plan.seed;
     pending = plan.Fault_plan.entries;
     heals = [];
-    injected = 0;
-    skipped = 0;
   }
 
 let finished t = t.pending = [] && t.heals = []
-let injected t = t.injected
-let skipped t = t.skipped
 
 let pid_list_to_string pids =
   String.concat "," (List.map Pid.to_string pids)
@@ -61,12 +55,10 @@ let resolve t target =
     List.filteri (fun i _ -> i < k) shuffled |> List.sort Pid.compare
 
 let note t kind detail =
-  t.injected <- t.injected + 1;
   Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", kind) ] "fault.injected";
   t.ops.o_emit ~tag:("fault." ^ kind) ~detail
 
 let skip t kind =
-  t.skipped <- t.skipped + 1;
   Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", "skipped") ] "fault.injected";
   t.ops.o_emit ~tag:"fault.skipped" ~detail:kind
 

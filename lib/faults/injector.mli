@@ -51,12 +51,6 @@ val step : t -> unit
 val finished : t -> bool
 (** No pending entries and no scheduled heals remain. *)
 
-val injected : t -> int
-(** Number of events applied so far (scheduled heals included). *)
-
-val skipped : t -> int
-(** Events dropped because the runtime lacked the capability. *)
-
 val declare_metrics : Telemetry.t -> unit
 (** Pre-register [fault.injected{kind}] for every {!Fault_plan.kinds}
     entry plus the [skipped] pseudo-kind. *)

@@ -50,7 +50,7 @@ let warm_system ?hooks ~seed n =
 (* to a domain pool and the results are reassembled in submission      *)
 (* order, so the rendered table is byte-identical for any job count.   *)
 (* Cells must not share mutable state: each builds its own engine,     *)
-(* RNG, trace and metrics.                                             *)
+(* RNG, trace and telemetry.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
@@ -909,14 +909,12 @@ let e15_message_overhead ?(jobs = 1) p =
   let cell n =
     let seed = match p.seeds with s :: _ -> s | [] -> 1 in
     let sys = warm_system ~seed n in
-    let m = Engine.metrics (Stack.engine sys) in
-    let before kind = Metrics.get m ("sent." ^ kind) in
-    let sa0 = before "sa" and ma0 = before "ma" and hb0 = before "heartbeat" in
+    let tele = Engine.telemetry (Stack.engine sys) in
+    let sent kind = Telemetry.counter_value tele ~labels:[ ("kind", kind) ] "stack.sent" in
+    let sa0 = sent "sa" and ma0 = sent "ma" and hb0 = sent "heartbeat" in
     let rounds = 50 in
     Stack.run_rounds sys rounds;
-    let per_round v0 kind =
-      float_of_int (Metrics.get m ("sent." ^ kind) - v0) /. float_of_int rounds
-    in
+    let per_round v0 kind = float_of_int (sent kind - v0) /. float_of_int rounds in
     [
       Table.cell_int n;
       Table.cell_float (per_round sa0 "sa");

@@ -37,7 +37,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
       t.states <- Pid.Map.empty;
       reset_vars ();
       t.fresh <- false;
-      events := ("join.start", "") :: !events
+      events := Event.Join_start :: !events
     end;
     (match Config_value.to_set (Recsa.get_config recsa ~trusted) with
     | Some members
@@ -48,7 +48,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
       if Recsa.participate recsa ~trusted then begin
         t.joins <- t.joins + 1;
         t.fresh <- true;
-        events := ("join.participate", "") :: !events
+        events := Event.Join_participate :: !events
       end
     | Some _ | None -> ());
     let out =

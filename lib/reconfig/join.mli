@@ -26,7 +26,7 @@ val create : self:Pid.t -> 'app t
     once when (re)entering the joining state; [init_vars] is called with
     the collected member states just before [participate]; [quorum]
     (default {!Quorum.Majority}) generalizes the quorum-of-passes admission
-    test. Returns outgoing messages and trace events. *)
+    test. Returns outgoing messages and the step's events. *)
 val tick :
   'app t ->
   ?quorum:(module Quorum.SYSTEM) ->
@@ -35,7 +35,7 @@ val tick :
   reset_vars:(unit -> unit) ->
   init_vars:('app Pid.Map.t -> unit) ->
   unit ->
-  (Pid.t * 'app message) list * (string * string) list
+  (Pid.t * 'app message) list * Event.t list
 
 (** [on_request t ~self_app ~from ~trusted ~recsa ~pass_query] — the
     participant side: the reply to a "Join" request, or [None] when this

@@ -51,7 +51,7 @@ let trigger t ~trusted ~recsa reason events =
   let proposal = Recsa.participants recsa ~trusted in
   if Recsa.estab recsa ~trusted proposal then begin
     t.triggers <- t.triggers + 1;
-    events := ("recma.trigger", reason) :: !events
+    events := Event.Trigger reason :: !events
   end;
   flush_flags t
 
@@ -87,7 +87,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
            flag t.no_maj t.ma_self
            && Pid.Set.cardinal co > 1
            && Pid.Set.for_all (fun p -> flag t.no_maj p) co
-         then trigger t ~trusted ~recsa "majority collapse" events
+         then trigger t ~trusted ~recsa Event.Collapse events
          else begin
            (* line 16: prediction-function path *)
            let wants = eval_conf members in
@@ -97,7 +97,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
                (Pid.Set.inter members trusted)
            in
            if wants && Q.is_quorum ~config:members supporters then
-             trigger t ~trusted ~recsa "majority prediction" events
+             trigger t ~trusted ~recsa Event.Prediction events
          end
      end);
     let msg =

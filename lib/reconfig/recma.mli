@@ -28,7 +28,7 @@ val create : self:Pid.t -> t
     the collapse path, a quorum of supporters triggers the prediction path
     — the generalization the paper describes in Related Work. Calls
     [Recsa.estab] on triggering. Returns the broadcast messages (to all
-    trusted participants) and trace events. *)
+    trusted participants) and the step's events. *)
 val tick :
   t ->
   ?quorum:(module Quorum.SYSTEM) ->
@@ -36,7 +36,7 @@ val tick :
   recsa:Recsa.t ->
   eval_conf:(Pid.Set.t -> bool) ->
   unit ->
-  (Pid.t * message) list * (string * string) list
+  (Pid.t * message) list * Event.t list
 
 val receive : t -> from:Pid.t -> participant:bool -> message -> unit
 

@@ -187,7 +187,7 @@ let config_set t value =
 let start_reset t reason events =
   if not (Config_value.is_reset t.sa_config) then begin
     t.resets <- t.resets + 1;
-    events := ("recsa.reset", reason) :: !events
+    events := Event.Reset reason :: !events
   end;
   config_set t Config_value.Reset
 
@@ -199,8 +199,7 @@ let advance_to t (n : Notification.t) events =
   | Notification.P2, Some s ->
     if not (Config_value.equal t.sa_config (Config_value.Set s)) then begin
       t.installs <- t.installs + 1;
-      events :=
-        ("recsa.install", Format.asprintf "%a" Pid.pp_set s) :: !events
+      events := Event.Install s :: !events
     end;
     t.sa_config <- Config_value.of_set s
   | _ -> ());
@@ -209,7 +208,7 @@ let advance_to t (n : Notification.t) events =
   t.sa_allseen <- Pid.Set.empty
 
 let finish_replacement t events =
-  events := ("recsa.phase0", "replacement complete") :: !events;
+  events := Event.Phase0 :: !events;
   t.sa_prp <- Notification.default;
   t.sa_all <- false;
   t.sa_allseen <- Pid.Set.empty
@@ -238,11 +237,11 @@ let stale_check_always t ~part events =
   in
   let notif_conflict = List.length phase2_sets > 1 in
   if own_empty then begin
-    events := ("recsa.stale", "type-2") :: !events;
+    events := Event.Stale 2 :: !events;
     start_reset t "empty config" events
   end
   else if notif_conflict then begin
-    events := ("recsa.stale", "type-3") :: !events;
+    events := Event.Stale 3 :: !events;
     start_reset t "conflicting phase-2 notifications" events
   end
 
@@ -267,11 +266,11 @@ let stale_check_quiet t ~trusted ~part events =
     | Config_value.Not_participant | Config_value.Reset -> false
   in
   if conflict then begin
-    events := ("recsa.stale", "type-2") :: !events;
+    events := Event.Stale 2 :: !events;
     start_reset t "config conflict" events
   end
   else if dead_config then begin
-    events := ("recsa.stale", "type-4") :: !events;
+    events := Event.Stale 4 :: !events;
     start_reset t "config has no live participant" events
   end
 
@@ -296,9 +295,7 @@ let brute_force t ~trusted events =
     in
     if agreement then begin
       config_set t (Config_value.Set trusted);
-      events :=
-        ("recsa.brute_force", Format.asprintf "config <- %a" Pid.pp_set trusted)
-        :: !events
+      events := Event.Brute_force trusted :: !events
     end
   end
 
@@ -318,8 +315,7 @@ let delicate t ~part max_ntf events =
   else begin
   (* Converge on the lexicographically maximal notification. *)
   if Notification.compare t.sa_prp max_ntf < 0 then begin
-    events :=
-      ("recsa.adopt", Format.asprintf "%a" Notification.pp max_ntf) :: !events;
+    events := Event.Adopt max_ntf :: !events;
     advance_to t max_ntf events
   end;
   (* Follow a completed cycle: a peer already returned to phase 0 with our
@@ -336,7 +332,7 @@ let delicate t ~part max_ntf events =
     if completed then begin
       if not (Config_value.equal t.sa_config (Config_value.Set s)) then begin
         t.installs <- t.installs + 1;
-        events := ("recsa.install", Format.asprintf "%a" Pid.pp_set s) :: !events
+        events := Event.Install s :: !events
       end;
       t.sa_config <- Config_value.of_set s;
       finish_replacement t events
@@ -364,7 +360,7 @@ let delicate t ~part max_ntf events =
       | Notification.P1 ->
         (match t.sa_prp.Notification.set with
         | Some s ->
-          events := ("recsa.phase2", Format.asprintf "%a" Pid.pp_set s) :: !events;
+          events := Event.Phase2 s :: !events;
           advance_to t { Notification.phase = Notification.P2; set = Some s } events
         | None -> t.sa_prp <- Notification.default)
       | Notification.P2 -> finish_replacement t events
@@ -379,14 +375,14 @@ let tick t ~trusted =
   t.peers <- Pid.Map.filter (fun p _ -> Pid.Set.mem p trusted) t.peers;
   (* type-1 cleaning: malformed notifications are normalized, never kept *)
   if Notification.malformed t.sa_prp then begin
-    events := ("recsa.stale", "type-1") :: !events;
+    events := Event.Stale 1 :: !events;
     t.sa_prp <- Notification.default
   end;
   t.peers <-
     Pid.Map.map
       (fun pv ->
         if Notification.malformed pv.p_prp then begin
-          events := ("recsa.stale", "type-1") :: !events;
+          events := Event.Stale 1 :: !events;
           { pv with p_prp = Notification.default }
         end
         else pv)
@@ -401,7 +397,7 @@ let tick t ~trusted =
      in
      if reset_visible then begin
        t.sa_config <- Config_value.Reset;
-       events := ("recsa.join_reset", "") :: !events
+       events := Event.Join_reset :: !events
      end);
   let part = participants t ~trusted in
   stale_check_always t ~part events;

@@ -60,8 +60,8 @@ val self : t -> Pid.t
 
 (** [tick t ~trusted] runs one iteration of the do-forever loop (lines
     25–28) with [trusted] the current (N,Θ)-failure-detector output.
-    Returns trace events emitted during the step. *)
-val tick : t -> trusted:Pid.Set.t -> (string * string) list
+    Returns the events of the step, in order. *)
+val tick : t -> trusted:Pid.Set.t -> Event.t list
 
 (** [broadcast t ~trusted] is the line-29 broadcast: one message per trusted
     peer, empty when the processor is not a participant (config = ♯). *)

@@ -49,7 +49,7 @@ val make :
   ?nodes:int ->
   unit ->
   t
-(** Defaults mirror the historical [Stack.create] defaults: [seed 42],
+(** Defaults: [seed 42],
     [capacity 8], [loss 0.02], [theta 4], [quorum Majority],
     [members = default_members nodes], [n_bound = 2 * nodes]. At least one
     of [nodes] and [members] must be given. Raises [Invalid_argument] when

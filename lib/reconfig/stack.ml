@@ -27,7 +27,6 @@ type scheme_view = {
   v_emit : string -> string -> unit;
   v_now : float;
   v_rng : Rng.t;
-  v_metrics : Metrics.t;
   v_telemetry : Telemetry.t;
 }
 
@@ -232,49 +231,6 @@ let declare_metrics tele =
     [ "increment"; "read" ];
   Telemetry.declare_histogram tele "vs.view_change_seconds"
 
-(* Fold a scheme trace event into the telemetry registry: the stale types
-   of Definition 3.1 as labeled conflict counters, reset -> brute-force
-   recovery as a span, the joiner handshake as a span. *)
-let note_event tele ~self ~now (tag, detail) =
-  match tag with
-  | "recsa.stale" ->
-    (* detail is "type-N"; label just the N *)
-    let ty =
-      match String.index_opt detail '-' with
-      | Some i -> String.sub detail (i + 1) (String.length detail - i - 1)
-      | None -> detail
-    in
-    Telemetry.inc tele ~labels:[ ("type", ty) ] "recsa.conflicts"
-  | "recsa.reset" ->
-    Telemetry.inc tele "recsa.resets";
-    Telemetry.span_begin tele ~name:"recsa.reset_recovery_seconds" ~key:self ~now
-  | "recsa.join_reset" ->
-    Telemetry.span_begin tele ~name:"recsa.reset_recovery_seconds" ~key:self ~now
-  | "recsa.brute_force" ->
-    Telemetry.inc tele "recsa.brute_force";
-    (* a node corrupted straight into a reset never saw the reset event;
-       only close spans we actually opened *)
-    if Telemetry.span_open tele ~name:"recsa.reset_recovery_seconds" ~key:self then
-      Telemetry.span_end tele ~name:"recsa.reset_recovery_seconds" ~key:self ~now
-  | "recsa.install" ->
-    Telemetry.inc tele "recsa.installs";
-    (* a resetting node can also recover by adopting a peer's phase-2
-       notification; that install ends its recovery too *)
-    if Telemetry.span_open tele ~name:"recsa.reset_recovery_seconds" ~key:self then
-      Telemetry.span_end tele ~name:"recsa.reset_recovery_seconds" ~key:self ~now
-  | "recma.trigger" ->
-    let reason =
-      if String.equal detail "majority collapse" then "collapse" else "prediction"
-    in
-    Telemetry.inc tele ~labels:[ ("reason", reason) ] "recma.triggers"
-  | "join.start" ->
-    Telemetry.span_begin tele ~name:"join.handshake_seconds" ~key:self ~now
-  | "join.participate" ->
-    Telemetry.inc tele "join.completed";
-    if Telemetry.span_open tele ~name:"join.handshake_seconds" ~key:self then
-      Telemetry.span_end tele ~name:"join.handshake_seconds" ~key:self ~now
-  | _ -> ()
-
 let snap_instance ~capacity n ~self ~peer =
   match Pid.Map.find_opt peer n.snap with
   | Some s -> s
@@ -290,7 +246,6 @@ let snap_instance ~capacity n ~self ~peer =
 
 module Core (R : Runtime.S) = struct
   let send_counted ctx kind dst m =
-    Metrics.incr (R.metrics ctx) ("sent." ^ kind);
     Telemetry.inc (R.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
     R.send ctx dst m
 
@@ -306,7 +261,6 @@ module Core (R : Runtime.S) = struct
       v_emit = R.emit ctx;
       v_now = R.now ctx;
       v_rng = R.rng ctx;
-      v_metrics = R.metrics ctx;
       v_telemetry = R.telemetry ctx;
     }
 
@@ -354,9 +308,10 @@ module Core (R : Runtime.S) = struct
       let tele = R.telemetry ctx in
       let now = R.now ctx in
       let emit_all =
-        List.iter (fun (tag, detail) ->
+        List.iter (fun ev ->
+            let tag, detail = Event.to_trace ev in
             R.emit ctx tag detail;
-            note_event tele ~self ~now (tag, detail))
+            Event.note tele ~self ~now ev)
       in
       (* recSA: one do-forever iteration, then the line-29 broadcast *)
       emit_all (Recsa.tick n.sa ~trusted);
@@ -544,12 +499,6 @@ let of_scenario ~hooks (sc : Scenario.t) =
        (fun rng _msg ->
          if Rng.bool rng then Heartbeat else stale_sa rng (Engine.pids eng)));
   { eng; hooks; directory }
-
-let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4)
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~n_bound ~hooks ~members () =
-  of_scenario ~hooks
-    (Scenario.make ~members ~seed ~capacity ~loss ~theta ~n_bound ~quorum
-       ~nodes:(List.length members) ())
 
 let engine t = t.eng
 

@@ -43,7 +43,7 @@ type 'app node_state = {
 
 (** Read-only view of the scheme handed to the application plugin — the
     [getConfig()] / [noReco()] interfaces of Figure 1, enriched with the
-    executing runtime's clock, randomness and metrics. *)
+    executing runtime's clock, randomness and telemetry. *)
 type scheme_view = {
   v_self : Pid.t;
   v_trusted : Pid.Set.t;
@@ -51,7 +51,6 @@ type scheme_view = {
   v_emit : string -> string -> unit;  (** trace emission *)
   v_now : float;  (** the runtime's current time *)
   v_rng : Rng.t;  (** the runtime's random source *)
-  v_metrics : Metrics.t;  (** shared metrics registry *)
   v_telemetry : Telemetry.t;  (** shared telemetry registry *)
 }
 
@@ -194,13 +193,9 @@ val snap_nonce : self:Pid.t -> peer:Pid.t -> int
     emits (conflict counters per stale type, reset/install counters, the
     replacement/recovery/join/counter-op/view-change histograms), so
     exports list a stable schema even before any event fires. Called by
-    the system constructors ([create] here and [Stack_loop.create]). *)
+    the system constructors ({!of_scenario} here and
+    [Stack_loop.of_scenario]). *)
 val declare_metrics : Telemetry.t -> unit
-
-(** [note_event tele ~self ~now (tag, detail)] folds one scheme trace
-    event into the telemetry registry (used by {!Core}; exposed for
-    runtimes that drive the layers directly). *)
-val note_event : Telemetry.t -> self:Pid.t -> now:float -> string * string -> unit
 
 (** {2 The engine-agnostic protocol core} *)
 
@@ -244,21 +239,6 @@ val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
     and the joining admission test to any intersecting quorum system — the
     generalization the paper claims in Related Work. The scenario's fault
     plan is {e not} applied here; pass it to {!run_plan}. *)
-
-val create :
-  ?seed:int ->
-  ?capacity:int ->
-  ?loss:float ->
-  ?theta:int ->
-  ?quorum:(module Quorum.SYSTEM) ->
-  n_bound:int ->
-  hooks:('app, 'msg) hooks ->
-  members:Pid.t list ->
-  unit ->
-  ('app, 'msg) t
-  [@@ocaml.deprecated "use Stack.of_scenario with a Scenario.t"]
-(** @deprecated Compatibility shim over {!of_scenario} (one release);
-    equivalent to [of_scenario ~hooks (Scenario.make ~members ...)]. *)
 
 val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) Engine.t
 

@@ -22,13 +22,6 @@ let of_scenario ?clock ~hooks (sc : Scenario.t) =
   Faults.Injector.declare_metrics (Loop.telemetry loop);
   { loop; hooks; directory }
 
-let create ?(seed = 42) ?(capacity = 8) ?(theta = 4)
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?clock ~n_bound ~hooks
-    ~members () =
-  of_scenario ?clock ~hooks
-    (Scenario.make ~members ~seed ~capacity ~theta ~n_bound ~quorum
-       ~nodes:(List.length members) ())
-
 let loop t = t.loop
 
 let add_joiner t p =

@@ -45,7 +45,6 @@ let dummy_view ?(self = 1) () =
     v_emit = (fun _ _ -> ());
     v_now = 0.0;
     v_rng = Rng.create 1;
-    v_metrics = Metrics.create ();
     v_telemetry = Telemetry.create ();
   }
 

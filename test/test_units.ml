@@ -1,10 +1,20 @@
 (* Unit tests for modules otherwise covered only through integration:
-   recMA internals, the joining mechanism's gating, result tables. *)
+   recMA internals, the joining mechanism's gating, the typed scheme
+   events, result tables. *)
 
 open Sim
 open Reconfig
 
 let set = Pid.set_of_list
+
+(* events compare by their trace rendering: structural equality on the
+   carried sets would depend on their tree shape *)
+let event =
+  Alcotest.testable
+    (fun fmt e ->
+      let tag, detail = Event.to_trace e in
+      Format.fprintf fmt "(%s, %S)" tag detail)
+    (fun a b -> Event.to_trace a = Event.to_trace b)
 
 (* --- recMA --- *)
 
@@ -49,7 +59,7 @@ let test_recma_no_trigger_in_steady_state () =
     let _msgs, events =
       Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ()
     in
-    Alcotest.(check (list (pair string string))) "no trigger events" [] events
+    Alcotest.(check (list event)) "no trigger events" [] events
   done;
   Alcotest.(check int) "no estab attempts" 0 (Recma.attempt_count ma)
 
@@ -87,7 +97,8 @@ let test_recma_non_participant_ignores_messages () =
   let msgs, events =
     Recma.tick ma ~trusted:(set [ 1; 2 ]) ~recsa:sa ~eval_conf:(fun _ -> true) ()
   in
-  Alcotest.(check bool) "no output as non-participant" true (msgs = [] && events = [])
+  Alcotest.(check int) "no messages as non-participant" 0 (List.length msgs);
+  Alcotest.(check (list event)) "no events as non-participant" [] events
 
 (* --- joining mechanism --- *)
 
@@ -155,6 +166,78 @@ let test_join_majority_required () =
   Alcotest.(check bool) "two passes of three admit" true (Recsa.is_participant sa);
   Alcotest.(check int) "join counted" 1 (Join.join_count j)
 
+(* --- typed scheme events --- *)
+
+type span_effect = No_span | Opens of string | Closes of string
+
+let recovery = "recsa.reset_recovery_seconds"
+let handshake = "join.handshake_seconds"
+
+(* every constructor: its trace line, the one counter [Event.note] bumps
+   (if any), and the span it opens or closes *)
+let event_cases =
+  let s = set [ 1; 2 ] in
+  Event.
+    [
+      (Stale 2, ("recsa.stale", "type-2"), Some ("recsa.conflicts", [ ("type", "2") ]), No_span);
+      ( Reset "config conflict",
+        ("recsa.reset", "config conflict"),
+        Some ("recsa.resets", []),
+        Opens recovery );
+      (Join_reset, ("recsa.join_reset", ""), None, Opens recovery);
+      ( Brute_force s,
+        ("recsa.brute_force", "config <- {1, 2}"),
+        Some ("recsa.brute_force", []),
+        Closes recovery );
+      (Install s, ("recsa.install", "{1, 2}"), Some ("recsa.installs", []), Closes recovery);
+      (Adopt (Notification.make Notification.P1 s), ("recsa.adopt", "<1, {1, 2}>"), None, No_span);
+      (Phase2 s, ("recsa.phase2", "{1, 2}"), None, No_span);
+      (Phase0, ("recsa.phase0", "replacement complete"), None, No_span);
+      ( Trigger Collapse,
+        ("recma.trigger", "majority collapse"),
+        Some ("recma.triggers", [ ("reason", "collapse") ]),
+        No_span );
+      ( Trigger Prediction,
+        ("recma.trigger", "majority prediction"),
+        Some ("recma.triggers", [ ("reason", "prediction") ]),
+        No_span );
+      (Join_start, ("join.start", ""), None, Opens handshake);
+      ( Join_participate,
+        ("join.participate", ""),
+        Some ("join.completed", []),
+        Closes handshake );
+    ]
+
+let test_event_table () =
+  List.iter
+    (fun (ev, trace, counter, span) ->
+      let tag, _ = trace in
+      Alcotest.(check (pair string string)) "trace line" trace (Event.to_trace ev);
+      let tele = Telemetry.create () in
+      Stack.declare_metrics tele;
+      (match span with
+      | Closes name -> Telemetry.span_begin tele ~name ~key:7 ~now:1.0
+      | No_span | Opens _ -> ());
+      Event.note tele ~self:7 ~now:3.0 ev;
+      let bumped =
+        List.filter_map
+          (fun (name, labels, v) -> if v > 0 then Some (name, labels, v) else None)
+          (Telemetry.counters tele)
+      in
+      let expected = Option.fold ~none:[] ~some:(fun (n, l) -> [ (n, l, 1) ]) counter in
+      Alcotest.(check (list (triple string (list (pair string string)) int)))
+        (tag ^ " counters") expected bumped;
+      match span with
+      | No_span -> Alcotest.(check int) (tag ^ " no span") 0 (Telemetry.open_spans tele)
+      | Opens name ->
+        Alcotest.(check bool) (tag ^ " opens") true (Telemetry.span_open tele ~name ~key:7)
+      | Closes name ->
+        Alcotest.(check bool) (tag ^ " closes") false (Telemetry.span_open tele ~name ~key:7);
+        Alcotest.(check (option (float 1e-9))) (tag ^ " duration") (Some 2.0)
+          (Option.bind (Telemetry.find_histogram tele name) (fun h ->
+               Telemetry.Histogram.max_value h)))
+    event_cases
+
 (* --- result tables --- *)
 
 let test_table_csv () =
@@ -195,6 +278,7 @@ let suites =
         Alcotest.test_case "non-member silent" `Quick test_join_non_member_does_not_reply;
         Alcotest.test_case "majority required" `Quick test_join_majority_required;
       ] );
+    ("event.unit", [ Alcotest.test_case "trace and telemetry" `Quick test_event_table ]);
     ( "harness.table",
       [
         Alcotest.test_case "csv" `Quick test_table_csv;
