@@ -3,7 +3,7 @@
    Every subcommand that runs a system is configured the same way: the
    flags below build one Reconfig.Scenario.t (topology, seed, channel
    model, fault plan, sink paths), and the subcommand hands it to
-   Stack.of_scenario / Stack_loop.of_scenario. Adding a knob means adding
+   Stack.of_scenario / Stack.Loop.of_scenario. Adding a knob means adding
    it here once, not in five argument lists. *)
 
 open Cmdliner

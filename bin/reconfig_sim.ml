@@ -274,12 +274,12 @@ let faults_cmd =
         (Stack.total_resets sys);
       export_sys sys sc
     | `Loop ->
-      let sys = Stack_loop.of_scenario ~hooks:Stack.unit_hooks sc in
-      let recovery = Stack_loop.run_plan sys ~plan ~max_rounds:2000 in
-      let loop = Stack_loop.loop sys in
+      let sys = Stack.Loop.of_scenario ~hooks:Stack.unit_hooks sc in
+      let recovery = Stack.Loop.run_plan sys ~plan ~max_rounds:2000 in
+      let loop = Stack.Loop.engine sys in
       let tele = Runtime.Loop.telemetry loop in
       report_plan_outcome ~tele ~recovery;
-      (match Stack_loop.uniform_config sys with
+      (match Stack.Loop.uniform_config sys with
       | Some c -> Format.printf "final config: %a@." Pid.pp_set c
       | None -> Format.printf "final config: (no agreement yet)@.");
       Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sc

@@ -14,28 +14,28 @@ let pp_conf fmt = function
 let () =
   let members = [ 1; 2; 3; 4; 5 ] in
   let sys =
-    Stack_loop.of_scenario ~hooks:Stack.unit_hooks
+    Stack.Loop.of_scenario ~hooks:Stack.unit_hooks
       (Scenario.make ~seed:7 ~n_bound:16 ~members ())
   in
 
   (* Bootstrap: let the failure detectors warm up and the scheme settle. *)
-  (match Stack_loop.run_until_quiescent sys ~max_rounds:500 with
+  (match Stack.Loop.run_until_quiescent sys ~max_rounds:500 with
   | Some r -> Format.printf "quiescent after %d rounds@." r
   | None -> Format.printf "not quiescent within 500 rounds?!@.");
-  Format.printf "agreed configuration: %a@." pp_conf (Stack_loop.uniform_config sys);
+  Format.printf "agreed configuration: %a@." pp_conf (Stack.Loop.uniform_config sys);
 
   (* Admit a joiner through the snap-stabilizing join protocol. *)
-  Stack_loop.add_joiner sys 6;
-  Stack_loop.run_rounds sys 200;
-  Format.printf "joiner 6 now trusts: %a@." Pid.pp_set (Stack_loop.trusted_of sys 6);
-  Format.printf "configuration still: %a@." pp_conf (Stack_loop.uniform_config sys);
+  Stack.Loop.add_joiner sys 6;
+  Stack.Loop.run_rounds sys 200;
+  Format.printf "joiner 6 now trusts: %a@." Pid.pp_set (Stack.Loop.trusted_of sys 6);
+  Format.printf "configuration still: %a@." pp_conf (Stack.Loop.uniform_config sys);
 
   (* Crash a member; the survivors keep the configuration available. *)
-  Stack_loop.crash sys 5;
-  Stack_loop.run_rounds sys 100;
+  Stack.Loop.crash sys 5;
+  Stack.Loop.run_rounds sys 100;
   Format.printf "after crash(5), configuration: %a@." pp_conf
-    (Stack_loop.uniform_config sys);
+    (Stack.Loop.uniform_config sys);
 
-  let loop = Stack_loop.loop sys in
+  let loop = Stack.Loop.engine sys in
   Format.printf "loop runtime: %d rounds, %.3fs of loop time, %d messages in flight@."
     (Runtime.Loop.rounds loop) (Runtime.Loop.now loop) (Runtime.Loop.pending loop)

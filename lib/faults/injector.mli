@@ -1,12 +1,12 @@
 (** Fault-plan interpretation against any runtime.
 
     The injector never touches a runtime directly: it acts through an
-    {!ops} capability record the runtime's harness supplies ([Stack] for
-    the simulator, [Stack_loop] for the real-time loop). A capability a
-    runtime cannot honor (e.g. channel corruption on a mailbox runtime)
-    is supplied as a no-op and the event is counted as skipped — the plan
-    still replays, the adversary is just weaker there (see DESIGN.md
-    §11 for what the adversary deliberately cannot do).
+    {!ops} capability record, derived once for every runtime by
+    [Stack.Make]. A capability a runtime cannot honor (e.g. channel
+    corruption on a mailbox runtime) is [None] and its events are
+    counted as skipped — the plan still replays, the adversary is just
+    weaker there (see DESIGN.md §11 for what the adversary deliberately
+    cannot do).
 
     All interpretation randomness flows from the plan's own seed
     ({!Fault_plan.t}), so a plan resolves to the same victims and the

@@ -3,8 +3,8 @@
     Historically every entry point grew its own positional argument list
     (topology here, seed there, sink paths in the CLI only). A
     [Scenario.t] gathers all of it: topology, scheme knobs, the fault
-    plan, and metrics/trace sinks. [Stack.of_scenario] and
-    [Stack_loop.of_scenario] consume it directly; the [bin/] subcommands
+    plan, and metrics/trace sinks. Every system's [of_scenario]
+    ([Stack.Make]) consumes it directly; the [bin/] subcommands
     build one from shared flags ([Cli_common]); the harness derives
     per-cell scenarios from it. The record is deliberately concrete —
     a scenario is configuration data, and pattern matching on it is the

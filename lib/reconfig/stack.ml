@@ -408,8 +408,6 @@ end
 
 (* --- runtime-agnostic observation over collections of node states --- *)
 
-let config_views_of nodes = List.map (fun (p, n) -> (p, Recsa.config n.sa)) nodes
-
 let uniform_config_of nodes =
   let participant_configs =
     List.filter_map
@@ -434,16 +432,6 @@ let quiescent_of nodes =
         (not (Recsa.is_participant n.sa))
         || Recsa.no_reco n.sa ~trusted:(Detector.Theta_fd.trusted n.fd))
       nodes
-
-(* --- the simulated system: the core driven by Sim.Engine --- *)
-
-module Sim_core = Core (Runtime.Sim_engine)
-
-type ('app, 'msg) t = {
-  eng : ('app node_state, ('app, 'msg) message) Engine.t;
-  hooks : ('app, 'msg) hooks;
-  directory : Pid.Set.t ref;
-}
 
 (* --- seeded garbage: the raw material of transient faults --- *)
 
@@ -477,97 +465,8 @@ let stale_sa rng pool =
       m_echo = None;
     }
 
-let of_scenario ~hooks (sc : Scenario.t) =
-  let members = sc.Scenario.sc_members in
-  let members_set = Pid.set_of_list members in
-  let directory = ref members_set in
-  let driver =
-    Sim_core.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound ~theta:sc.sc_theta
-      ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
-  in
-  let eng =
-    Engine.create ~seed:sc.sc_seed ~capacity:sc.sc_capacity ~loss:sc.sc_loss
-      ~behavior:(Runtime.sim_behavior driver) ~pids:members ()
-  in
-  declare_metrics (Engine.telemetry eng);
-  Faults.Injector.declare_metrics (Engine.telemetry eng);
-  (* "bit flips" on profiled links: a typed message has no bits to flip, so
-     a mangled packet re-parses as garbage — a heartbeat or a stale recSA
-     packet *)
-  Engine.set_mangler eng
-    (Some
-       (fun rng _msg ->
-         if Rng.bool rng then Heartbeat else stale_sa rng (Engine.pids eng)));
-  { eng; hooks; directory }
-
-let engine t = t.eng
-
-let add_joiner t p =
-  t.directory := Pid.Set.add p !(t.directory);
-  Engine.add_node t.eng p
-
-let node t p = Engine.state t.eng p
-
-let live_nodes t =
-  List.map (fun p -> (p, Engine.state t.eng p)) (Engine.live_pids t.eng)
-
-let trusted_of t p = Detector.Theta_fd.trusted (node t p).fd
-let config_views t = config_views_of (live_nodes t)
-let uniform_config t = uniform_config_of (live_nodes t)
-let quiescent t = quiescent_of (live_nodes t)
-let sum_over t f = List.fold_left (fun acc (_, n) -> acc + f n) 0 (live_nodes t)
-let total_resets t = sum_over t (fun n -> Recsa.reset_count n.sa)
-let total_installs t = sum_over t (fun n -> Recsa.install_count n.sa)
-let total_triggers t = sum_over t (fun n -> Recma.trigger_count n.ma)
-let run_rounds t n = Engine.run_rounds t.eng n
-let run_until t ~max_steps pred = Engine.run_until t.eng ~max_steps (fun _ -> pred t)
-
-let run_until_quiescent t ~max_rounds =
-  let start = Engine.rounds t.eng in
-  let rec go () =
-    if quiescent t then Some (Engine.rounds t.eng - start)
-    else if Engine.rounds t.eng - start >= max_rounds then None
-    else begin
-      Engine.run_rounds t.eng 1;
-      go ()
-    end
-  in
-  go ()
-
-let crash t p = Engine.crash t.eng p
-let estab t p set = Recsa.estab (node t p).sa ~trusted:(trusted_of t p) set
-
-(* --- transient-fault injection --- *)
-
-let corrupt_node t p ~rng =
-  let pool = Engine.pids t.eng in
-  let n = node t p in
-  Recsa.corrupt n.sa ~config:(random_config rng pool)
-    ~prp:(random_notification rng pool) ~all:(Rng.bool rng)
-    ~allseen:(random_pid_set rng pool) ();
-  Recsa.clear_peers n.sa;
-  let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
-  Recma.corrupt n.ma ~no_maj:(random_flags ()) ~need_reconf:(random_flags ());
-  Join.corrupt n.join ~rng ~pool;
-  n.app <- t.hooks.plugin.p_corrupt rng n.app
-
-let corrupt_link t ~src ~dst ~rng =
-  let pool = Engine.pids t.eng in
-  let k = Rng.int rng 4 in
-  let pkts = List.init k (fun _ -> stale_sa rng pool) in
-  Engine.corrupt_channel t.eng ~src ~dst pkts
-
-let corrupt_everything t ~rng =
-  let live = Engine.live_pids t.eng in
-  List.iter (fun p -> corrupt_node t p ~rng) live;
-  List.iter
-    (fun src ->
-      List.iter
-        (fun dst -> if not (Pid.equal src dst) then corrupt_link t ~src ~dst ~rng)
-        live)
-    live
-
-(* --- fault plans: the injector capabilities of the simulator runtime --- *)
+(* A corrupted channel's contents: zero to three stale packets. *)
+let stale_packets rng pool = List.init (Rng.int rng 4) (fun _ -> stale_sa rng pool)
 
 let to_engine_profile p =
   {
@@ -576,35 +475,221 @@ let to_engine_profile p =
     lp_flip = p.Faults.Fault_plan.fp_flip;
   }
 
-let fault_ops t =
-  {
-    Faults.Injector.o_live = (fun () -> Engine.live_pids t.eng);
-    o_pids = (fun () -> Engine.pids t.eng);
-    o_rounds = (fun () -> Engine.rounds t.eng);
-    o_crash = (fun p -> Engine.crash t.eng p);
-    o_join = (fun p -> add_joiner t p);
-    o_corrupt_node = (fun rng p -> corrupt_node t p ~rng);
-    o_corrupt_link = Some (fun rng ~src ~dst -> corrupt_link t ~src ~dst ~rng);
-    o_set_link_profile =
-      Some
-        (fun ~src ~dst profile ->
-          Engine.set_link_profile t.eng ~src ~dst (Option.map to_engine_profile profile));
-    o_partition = (fun group -> Engine.partition t.eng group);
-    o_heal =
-      (fun () ->
-        Engine.heal t.eng;
-        Engine.clear_link_profiles t.eng);
-    o_telemetry = Engine.telemetry t.eng;
-    o_emit =
-      (fun ~tag ~detail ->
-        Trace.record (Engine.trace t.eng) ~time:(Engine.time t.eng) ~tag detail);
+(* --- the system API, written once over a host runtime --- *)
+
+module type HOST = sig
+  module Ctx : Runtime.S
+
+  type ('s, 'm) t
+
+  val create : Scenario.t -> driver:('s, 'm, 'm Ctx.ctx) Runtime.driver -> ('s, 'm) t
+  val pids : ('s, 'm) t -> Pid.t list
+  val live_pids : ('s, 'm) t -> Pid.t list
+  val state : ('s, 'm) t -> Pid.t -> 's
+  val rounds : ('s, 'm) t -> int
+  val run_rounds : ('s, 'm) t -> int -> unit
+  val now : ('s, 'm) t -> float
+  val trace : ('s, 'm) t -> Trace.t
+  val telemetry : ('s, 'm) t -> Telemetry.t
+  val add_node : ('s, 'm) t -> Pid.t -> unit
+  val crash : ('s, 'm) t -> Pid.t -> unit
+  val partition : ('s, 'm) t -> Pid.Set.t -> unit
+  val heal : ('s, 'm) t -> unit
+
+  val set_link_profile :
+    ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> Engine.link_profile option -> unit
+
+  val clear_link_profiles : ('s, 'm) t -> unit
+  val corrupt_channel : (('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm list -> unit) option
+  val set_mangler : (('s, 'm) t -> (Rng.t -> 'm -> 'm) option -> unit) option
+end
+
+module type SYSTEM = sig
+  type ('s, 'm) host
+  type ('app, 'msg) t
+
+  val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
+  val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) host
+  val add_joiner : ('app, 'msg) t -> Pid.t -> unit
+  val node : ('app, 'msg) t -> Pid.t -> 'app node_state
+  val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
+  val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
+  val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
+  val uniform_config : ('app, 'msg) t -> Pid.Set.t option
+  val quiescent : ('app, 'msg) t -> bool
+  val total_resets : ('app, 'msg) t -> int
+  val total_installs : ('app, 'msg) t -> int
+  val total_triggers : ('app, 'msg) t -> int
+  val run_rounds : ('app, 'msg) t -> int -> unit
+  val run_until_quiescent : ('app, 'msg) t -> max_rounds:int -> int option
+  val crash : ('app, 'msg) t -> Pid.t -> unit
+  val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
+  val corrupt_node : ('app, 'msg) t -> Pid.t -> rng:Rng.t -> unit
+  val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
+
+  val run_plan :
+    ('app, 'msg) t -> plan:Faults.Fault_plan.t -> max_rounds:int -> int option
+end
+
+module Make (H : HOST) : SYSTEM with type ('s, 'm) host = ('s, 'm) H.t = struct
+  module C = Core (H.Ctx)
+
+  type ('s, 'm) host = ('s, 'm) H.t
+
+  type ('app, 'msg) t = {
+    host : ('app node_state, ('app, 'msg) message) H.t;
+    hooks : ('app, 'msg) hooks;
+    directory : Pid.Set.t ref;
   }
 
-let run_plan t ~plan ~max_rounds =
-  let inj = Faults.Injector.create ~plan ~ops:(fault_ops t) in
-  Faults.Injector.step inj;
-  while not (Faults.Injector.finished inj) do
-    run_rounds t 1;
-    Faults.Injector.step inj
-  done;
-  run_until_quiescent t ~max_rounds
+  let of_scenario ~hooks (sc : Scenario.t) =
+    let members_set = Pid.set_of_list sc.sc_members in
+    let directory = ref members_set in
+    let driver =
+      C.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound ~theta:sc.sc_theta
+        ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
+    in
+    let host = H.create sc ~driver in
+    declare_metrics (H.telemetry host);
+    Faults.Injector.declare_metrics (H.telemetry host);
+    (* "bit flips" on profiled links: a typed message has no bits to flip, so
+       a mangled packet re-parses as garbage — a heartbeat or a stale recSA
+       packet *)
+    Option.iter
+      (fun set_mangler ->
+        set_mangler host
+          (Some
+             (fun rng _msg ->
+               if Rng.bool rng then Heartbeat else stale_sa rng (H.pids host))))
+      H.set_mangler;
+    { host; hooks; directory }
+
+  let engine t = t.host
+
+  let add_joiner t p =
+    t.directory := Pid.Set.add p !(t.directory);
+    H.add_node t.host p
+
+  let node t p = H.state t.host p
+  let live_nodes t = List.map (fun p -> (p, H.state t.host p)) (H.live_pids t.host)
+  let trusted_of t p = Detector.Theta_fd.trusted (node t p).fd
+  let config_views t = List.map (fun (p, n) -> (p, Recsa.config n.sa)) (live_nodes t)
+  let uniform_config t = uniform_config_of (live_nodes t)
+  let quiescent t = quiescent_of (live_nodes t)
+  let sum_over t f = List.fold_left (fun acc (_, n) -> acc + f n) 0 (live_nodes t)
+  let total_resets t = sum_over t (fun n -> Recsa.reset_count n.sa)
+  let total_installs t = sum_over t (fun n -> Recsa.install_count n.sa)
+  let total_triggers t = sum_over t (fun n -> Recma.trigger_count n.ma)
+  let run_rounds t n = H.run_rounds t.host n
+
+  let run_until_quiescent t ~max_rounds =
+    let start = H.rounds t.host in
+    let rec go () =
+      if quiescent t then Some (H.rounds t.host - start)
+      else if H.rounds t.host - start >= max_rounds then None
+      else begin
+        H.run_rounds t.host 1;
+        go ()
+      end
+    in
+    go ()
+
+  let crash t p = H.crash t.host p
+  let estab t p set = Recsa.estab (node t p).sa ~trusted:(trusted_of t p) set
+
+  let corrupt_node t p ~rng =
+    let pool = H.pids t.host in
+    let n = node t p in
+    Recsa.corrupt n.sa ~config:(random_config rng pool)
+      ~prp:(random_notification rng pool) ~all:(Rng.bool rng)
+      ~allseen:(random_pid_set rng pool) ();
+    Recsa.clear_peers n.sa;
+    let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
+    Recma.corrupt n.ma ~no_maj:(random_flags ()) ~need_reconf:(random_flags ());
+    Join.corrupt n.join ~rng ~pool;
+    n.app <- t.hooks.plugin.p_corrupt rng n.app
+
+  let fault_ops t =
+    let h = t.host in
+    {
+      Faults.Injector.o_live = (fun () -> H.live_pids h);
+      o_pids = (fun () -> H.pids h);
+      o_rounds = (fun () -> H.rounds h);
+      o_crash = (fun p -> H.crash h p);
+      o_join = (fun p -> add_joiner t p);
+      o_corrupt_node = (fun rng p -> corrupt_node t p ~rng);
+      o_corrupt_link =
+        Option.map
+          (fun corrupt rng ~src ~dst -> corrupt h ~src ~dst (stale_packets rng (H.pids h)))
+          H.corrupt_channel;
+      o_set_link_profile =
+        Some
+          (fun ~src ~dst profile ->
+            H.set_link_profile h ~src ~dst (Option.map to_engine_profile profile));
+      o_partition = (fun group -> H.partition h group);
+      o_heal =
+        (fun () ->
+          H.heal h;
+          H.clear_link_profiles h);
+      o_telemetry = H.telemetry h;
+      o_emit =
+        (fun ~tag ~detail -> Trace.record (H.trace h) ~time:(H.now h) ~tag detail);
+    }
+
+  let run_plan t ~plan ~max_rounds =
+    let inj = Faults.Injector.create ~plan ~ops:(fault_ops t) in
+    Faults.Injector.step inj;
+    while not (Faults.Injector.finished inj) do
+      run_rounds t 1;
+      Faults.Injector.step inj
+    done;
+    run_until_quiescent t ~max_rounds
+end
+
+(* --- the two hosts --- *)
+
+module Sim_host = struct
+  include Engine
+  module Ctx = Runtime.Sim_engine
+
+  let create (sc : Scenario.t) ~driver =
+    Engine.create ~seed:sc.sc_seed ~capacity:sc.sc_capacity ~loss:sc.sc_loss
+      ~behavior:(Runtime.sim_behavior driver) ~pids:sc.sc_members ()
+
+  let now = Engine.time
+  let corrupt_channel = Some Engine.corrupt_channel
+  let set_mangler = Some Engine.set_mangler
+end
+
+module Loop_host = struct
+  include Runtime.Loop
+
+  let create (sc : Scenario.t) ~driver =
+    Runtime.Loop.create ~seed:sc.sc_seed ~driver ~pids:sc.sc_members ()
+
+  (* mailboxes hold typed values a transient fault cannot fabricate, and a
+     "bit-flipped" message is simply lost *)
+  let corrupt_channel = None
+  let set_mangler = None
+end
+
+(* --- the simulator-backed system, and what only the simulator offers --- *)
+
+include Make (Sim_host)
+
+let run_until t ~max_steps pred = Engine.run_until (engine t) ~max_steps (fun _ -> pred t)
+
+let corrupt_everything t ~rng =
+  let eng = engine t in
+  let live = Engine.live_pids eng in
+  List.iter (fun p -> corrupt_node t p ~rng) live;
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          if not (Pid.equal src dst) then
+            Engine.corrupt_channel eng ~src ~dst (stale_packets rng (Engine.pids eng)))
+        live)
+    live
+
+module Loop = Make (Loop_host)

@@ -5,9 +5,10 @@
     The protocol core is engine-agnostic: {!Core} builds the node automaton
     against any runtime implementing the RUNTIME signature
     ({!Runtime.S}) — the discrete-event simulator ({!Runtime.Sim_engine})
-    or the real-time event loop ({!Runtime.Loop}, see [Stack_loop]). The
-    [('app, 'msg) t] API below is the simulator-backed system used by the
-    tests and the experiment harness.
+    or the real-time event loop ({!Runtime.Loop}). {!Make} builds the
+    system API once over any {!HOST} runtime: this module is the
+    simulator-backed system used by the tests and the experiment harness,
+    and {!Loop} the same system on the event loop.
 
     ['app] is the application state (replicated to joiners by the joining
     mechanism); ['msg] is the application's own message type. The services
@@ -193,8 +194,7 @@ val snap_nonce : self:Pid.t -> peer:Pid.t -> int
     emits (conflict counters per stale type, reset/install counters, the
     replacement/recovery/join/counter-op/view-change histograms), so
     exports list a stable schema even before any event fires. Called by
-    the system constructors ({!of_scenario} here and
-    [Stack_loop.of_scenario]). *)
+    every system's [of_scenario] ({!Make}). *)
 val declare_metrics : Telemetry.t -> unit
 
 (** {2 The engine-agnostic protocol core} *)
@@ -217,109 +217,167 @@ module Core (R : Runtime.S) : sig
       cleaning handshake against them. *)
 end
 
-(** {2 Runtime-agnostic observation}
-
-    These fold over any [(pid, node_state)] collection, so every runtime's
-    harness can share them. *)
-
-val config_views_of : (Pid.t * 'app node_state) list -> (Pid.t * Config_value.t) list
-val uniform_config_of : (Pid.t * 'app node_state) list -> Pid.Set.t option
+(** [quiescent_of nodes] — {!SYSTEM.quiescent} over any [(pid, node_state)]
+    collection, for harnesses that drive the nodes themselves. *)
 val quiescent_of : (Pid.t * 'app node_state) list -> bool
 
-(** {2 The simulator-backed system} *)
+(** {2 Transient faults}
 
-type ('app, 'msg) t
-(** A simulated system running the scheme on every node. *)
-
-val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
-(** The primary constructor. The initial participants [sc_members] start
-    with the agreed configuration [sc_members] (a steady config state);
-    other processors enter later via [add_joiner] or a plan's [Join]
-    events. [sc_quorum] generalizes recMA's collapse / prediction tests
-    and the joining admission test to any intersecting quorum system — the
-    generalization the paper claims in Related Work. The scenario's fault
-    plan is {e not} applied here; pass it to {!run_plan}. *)
-
-val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) Engine.t
-
-(** [add_joiner t p] introduces a new processor over snap-stabilized (clean)
-    links; it knows the processors present at its join time. *)
-val add_joiner : ('app, 'msg) t -> Pid.t -> unit
-
-(** {2 Observation} *)
-
-val node : ('app, 'msg) t -> Pid.t -> 'app node_state
-val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
-val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
-
-(** [config_views t] — every live node's configuration value. *)
-val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
-
-(** [uniform_config t] is [Some s] iff every live {e participant} holds
-    exactly [Set s] — the paper's conflict-free condition. [None] while any
-    participant disagrees, is resetting, or no participant exists. *)
-val uniform_config : ('app, 'msg) t -> Pid.Set.t option
-
-(** [quiescent t] — uniform configuration and [no_reco] holds at every live
-    participant (steady config state). *)
-val quiescent : ('app, 'msg) t -> bool
-
-(** Sums over all nodes: recSA brute-force resets, delicate installs,
-    recMA accepted triggerings. *)
-val total_resets : ('app, 'msg) t -> int
-
-val total_installs : ('app, 'msg) t -> int
-val total_triggers : ('app, 'msg) t -> int
-
-(** {2 Driving} *)
-
-val run_rounds : ('app, 'msg) t -> int -> unit
-val run_until : ('app, 'msg) t -> max_steps:int -> (('app, 'msg) t -> bool) -> bool
-
-(** [run_until_quiescent t ~max_rounds] runs until {!quiescent}; returns
-    the number of rounds consumed, or [None] on timeout. *)
-val run_until_quiescent : ('app, 'msg) t -> max_rounds:int -> int option
-
-val crash : ('app, 'msg) t -> Pid.t -> unit
-
-(** [estab t p set] — request a delicate replacement at node [p] (test
-    hook; normally recMA decides). *)
-val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
-
-(** {2 Transient faults} *)
-
-(** Garbage generators shared by both runtimes' injectors: a random
-    subset of [pool], a random configuration over it, and a random
+    Garbage generators shared by every host and by custom injectors: a
+    random subset of [pool], a random configuration over it, and a random
     reconfiguration notification. *)
 
 val random_pid_set : Rng.t -> Pid.t list -> Pid.Set.t
 val random_config : Rng.t -> Pid.t list -> Config_value.t
 val random_notification : Rng.t -> Pid.t list -> Notification.t
 
-(** [corrupt_node t p ~rng] writes pseudo-random garbage into [p]'s recSA
-    and recMA state. *)
-val corrupt_node : ('app, 'msg) t -> Pid.t -> rng:Rng.t -> unit
+(** {2 Systems over a host runtime}
 
-(** [corrupt_everything t ~rng] corrupts every live node and fills every
-    channel between live nodes with stale protocol packets. *)
+    {!Core} is one node's automaton. A {e system} is a set of such nodes on
+    a host runtime, with the control, observation and fault surface that
+    tests and harnesses drive. {!HOST} is what a runtime offers for that;
+    {!Make} writes the whole {!SYSTEM} API once over it. *)
+
+module type HOST = sig
+  module Ctx : Runtime.S
+  (** The per-step capabilities the node automaton runs against. *)
+
+  type ('s, 'm) t
+  (** A running set of nodes with state ['s] exchanging messages ['m]. *)
+
+  val create : Scenario.t -> driver:('s, 'm, 'm Ctx.ctx) Runtime.driver -> ('s, 'm) t
+  (** One node per [sc_members] pid, seeded with [sc_seed]; the host reads
+      whichever other scenario knobs it models. *)
+
+  val pids : ('s, 'm) t -> Pid.t list
+  val live_pids : ('s, 'm) t -> Pid.t list
+  val state : ('s, 'm) t -> Pid.t -> 's
+  val rounds : ('s, 'm) t -> int
+  val run_rounds : ('s, 'm) t -> int -> unit
+  val now : ('s, 'm) t -> float
+  val trace : ('s, 'm) t -> Trace.t
+  val telemetry : ('s, 'm) t -> Telemetry.t
+  val add_node : ('s, 'm) t -> Pid.t -> unit
+  val crash : ('s, 'm) t -> Pid.t -> unit
+  val partition : ('s, 'm) t -> Pid.Set.t -> unit
+  val heal : ('s, 'm) t -> unit
+
+  val set_link_profile :
+    ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> Engine.link_profile option -> unit
+
+  val clear_link_profiles : ('s, 'm) t -> unit
+
+  val corrupt_channel : (('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm list -> unit) option
+  (** Overwrite a directed channel's contents. [None] when the host's
+      channels hold values a transient fault cannot fabricate; fault plans
+      then count [Corrupt_channels] events as skipped. *)
+
+  val set_mangler : (('s, 'm) t -> (Rng.t -> 'm -> 'm) option -> unit) option
+  (** Install the rewriter of "bit-flipped" packets on profiled links.
+      [None] when a flipped packet is simply lost. *)
+end
+
+module type SYSTEM = sig
+  type ('s, 'm) host
+  (** The host runtime's node set. *)
+
+  type ('app, 'msg) t
+  (** A system running the scheme on every node. *)
+
+  val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
+  (** The initial participants [sc_members] start with the agreed
+      configuration [sc_members] (a steady config state); other processors
+      enter later via [add_joiner] or a plan's [Join] events.
+      [sc_quorum] generalizes recMA's collapse / prediction tests and the
+      joining admission test to any intersecting quorum system — the
+      generalization the paper claims in Related Work. The scenario's
+      fault plan is {e not} applied here; pass it to {!run_plan}. *)
+
+  val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) host
+  (** The underlying host (for trace, telemetry and round access). *)
+
+  val add_joiner : ('app, 'msg) t -> Pid.t -> unit
+  (** [add_joiner t p] introduces a new processor over snap-stabilized
+      (clean) links; it knows the processors present at its join time. *)
+
+  (** {2 Observation} *)
+
+  val node : ('app, 'msg) t -> Pid.t -> 'app node_state
+  val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
+  val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
+
+  val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
+  (** Every live node's configuration value. *)
+
+  val uniform_config : ('app, 'msg) t -> Pid.Set.t option
+  (** [Some s] iff every live {e participant} holds exactly [Set s] — the
+      paper's conflict-free condition. [None] while any participant
+      disagrees, is resetting, or no participant exists. *)
+
+  val quiescent : ('app, 'msg) t -> bool
+  (** Uniform configuration and [no_reco] holds at every live participant
+      (steady config state). *)
+
+  (** Sums over all live nodes: recSA brute-force resets, delicate
+      installs, recMA accepted triggerings. *)
+
+  val total_resets : ('app, 'msg) t -> int
+  val total_installs : ('app, 'msg) t -> int
+  val total_triggers : ('app, 'msg) t -> int
+
+  (** {2 Driving} *)
+
+  val run_rounds : ('app, 'msg) t -> int -> unit
+
+  val run_until_quiescent : ('app, 'msg) t -> max_rounds:int -> int option
+  (** Runs until {!quiescent}; returns the number of rounds consumed, or
+      [None] on timeout. *)
+
+  val crash : ('app, 'msg) t -> Pid.t -> unit
+
+  val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
+  (** [estab t p set] — request a delicate replacement at node [p] (test
+      hook; normally recMA decides). *)
+
+  (** {2 Faults}
+
+      Every host supports node corruption, link profiles, partitions,
+      crashes and joins; {!HOST} lists the optional capabilities. *)
+
+  val corrupt_node : ('app, 'msg) t -> Pid.t -> rng:Rng.t -> unit
+  (** Writes pseudo-random garbage into the node's recSA, recMA, join and
+      application state. *)
+
+  val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
+  (** The capability record for {!Faults.Injector}. *)
+
+  val run_plan :
+    ('app, 'msg) t -> plan:Faults.Fault_plan.t -> max_rounds:int -> int option
+  (** Drives the system round by round, applying [plan]'s events at their
+      scheduled rounds, then runs on until quiescence. Returns the number
+      of rounds between the last plan action and quiescence ([None] if
+      the [max_rounds] budget expires first) — the measured stabilization
+      time. *)
+end
+
+module Make (H : HOST) : SYSTEM with type ('s, 'm) host = ('s, 'm) H.t
+
+(** {2 The simulator-backed system}
+
+    It offers both optional {!HOST} capabilities. *)
+
+include SYSTEM with type ('s, 'm) host = ('s, 'm) Engine.t
+
+val run_until : ('app, 'msg) t -> max_steps:int -> (('app, 'msg) t -> bool) -> bool
+(** Steps until the predicate holds, checking after every atomic step. *)
+
 val corrupt_everything : ('app, 'msg) t -> rng:Rng.t -> unit
+(** Corrupts every live node and fills every channel between live nodes
+    with stale protocol packets. *)
 
-(** {2 Fault plans}
+(** {2 The loop-backed system}
 
-    Declarative adversaries ({!Faults.Fault_plan}) act on the system
-    through the injector capability record. The simulator supplies every
-    capability: state corruption (scheme layers, join bookkeeping and the
-    plugin's [p_corrupt]), channel corruption, per-link fault profiles
-    (with "bit flips" mangled into stale protocol packets), partitions,
-    crashes and join churn. *)
+    The identical stack on the real-time event loop ({!Runtime.Loop}),
+    with neither optional capability. *)
 
-(** [fault_ops t] — the full capability record for {!Faults.Injector}. *)
-val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
-
-(** [run_plan t ~plan ~max_rounds] drives the system round by round,
-    applying [plan]'s events at their scheduled rounds, then runs on until
-    quiescence. Returns the number of rounds between the last plan action
-    and quiescence ([None] if the [max_rounds] budget expires first) —
-    the measured stabilization time. *)
-val run_plan :
-  ('app, 'msg) t -> plan:Faults.Fault_plan.t -> max_rounds:int -> int option
+module Loop : SYSTEM with type ('s, 'm) host = ('s, 'm) Runtime.Loop.t

@@ -115,19 +115,15 @@ let crash t p =
 (* --- adversarial link state (fault plans) --- *)
 
 let block_link t ~src ~dst = Hashtbl.replace t.l_blocked (src, dst) ()
-let unblock_link t ~src ~dst = Hashtbl.remove t.l_blocked (src, dst)
-let link_blocked t ~src ~dst = Hashtbl.mem t.l_blocked (src, dst)
 
 let partition t group =
   let all = pids t in
+  (* every ordered pair is visited, so both directions are cut *)
   List.iter
     (fun p ->
       List.iter
         (fun q ->
-          if Pid.Set.mem p group <> Pid.Set.mem q group then begin
-            block_link t ~src:p ~dst:q;
-            block_link t ~src:q ~dst:p
-          end)
+          if Pid.Set.mem p group <> Pid.Set.mem q group then block_link t ~src:p ~dst:q)
         all)
     all;
   Trace.record t.l_trace ~time:(t.clock ()) ~tag:"partition"
@@ -212,14 +208,3 @@ let run_rounds t n =
   for _ = 1 to n do
     run_round t
   done
-
-let run_until t ~max_rounds pred =
-  let rec go budget =
-    if pred t then true
-    else if budget <= 0 then false
-    else begin
-      run_round t;
-      go (budget - 1)
-    end
-  in
-  go max_rounds

@@ -62,22 +62,18 @@ val crash : ('s, 'm) t -> Pid.t -> unit
 (** {2 Adversarial links (fault plans)}
 
     The loop's default delivery is reliable; fault plans can degrade it.
-    A blocked directed link silently drops every message; an installed
+    A partition silently drops every message across it; an installed
     {!Sim.Engine.link_profile} drops ([lp_drop]), duplicates ([lp_dup]) or
     loses-as-unparseable ([lp_flip] — mailboxes carry typed values, so a
     "bit-flipped" message is simply lost) probabilistically, drawing from
-    the loop's seeded RNG. With no blocks and no profiles, delivery is
+    the loop's seeded RNG. With no partition and no profiles, delivery is
     exactly the historical reliable path with zero extra RNG draws. *)
-
-val block_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
-val unblock_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
-val link_blocked : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> bool
 
 (** [partition t group] cuts every link between [group] and the rest, both
     directions. *)
 val partition : ('s, 'm) t -> Pid.Set.t -> unit
 
-(** [heal t] removes every block. *)
+(** [heal t] lifts every partition. *)
 val heal : ('s, 'm) t -> unit
 
 val set_link_profile :
@@ -91,7 +87,3 @@ val clear_link_profiles : ('s, 'm) t -> unit
 val run_round : ('s, 'm) t -> unit
 
 val run_rounds : ('s, 'm) t -> int -> unit
-
-(** [run_until t ~max_rounds pred] runs rounds until [pred t] holds;
-    [true] iff it held within the budget. *)
-val run_until : ('s, 'm) t -> max_rounds:int -> (('s, 'm) t -> bool) -> bool

@@ -275,7 +275,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
   t
 
 let time t = t.e_time
-let rng t = t.e_rng
 let trace t = t.e_trace
 let telemetry t = t.e_telemetry
 
@@ -342,21 +341,7 @@ let note_tick t n =
   end
 
 let steps t = t.e_steps
-let set_state t p s = (node t p).n_state <- s
-
-let map_states t f =
-  for s = 0 to t.n_slots - 1 do
-    match t.node_of_slot.(s) with
-    | Some n when not n.n_crashed -> n.n_state <- f n.n_pid n.n_state
-    | Some _ | None -> ()
-  done
-
 let corrupt_channel t ~src ~dst pkts = Channel.corrupt (channel t ~src ~dst) pkts
-
-let clear_channels t =
-  Array.iter
-    (fun row -> Array.iter (function Some ch -> Channel.clear ch | None -> ()) row)
-    t.out
 
 let crash t p =
   let n = node t p in
@@ -417,14 +402,12 @@ let unblock_link t ~src ~dst =
 
 let partition t group =
   let all = pids t in
+  (* every ordered pair is visited, so both directions are cut *)
   List.iter
     (fun p ->
       List.iter
         (fun q ->
-          if Pid.Set.mem p group <> Pid.Set.mem q group then begin
-            block_link t ~src:p ~dst:q;
-            block_link t ~src:q ~dst:p
-          end)
+          if Pid.Set.mem p group <> Pid.Set.mem q group then block_link t ~src:p ~dst:q)
         all)
     all;
   Trace.record t.e_trace ~time:t.e_time ~tag:"partition"

@@ -9,9 +9,9 @@
     probability is strictly below one, so a packet sent infinitely often is
     received infinitely often.
 
-    Transient faults are injected by rewriting node states
-    ([set_state]/[corrupt_states]) and channel contents
-    ([corrupt_channel]); crashes by [crash]; joins by [add_node]. *)
+    Transient faults are injected by rewriting channel contents
+    ([corrupt_channel]) and, through {!state}, the mutable parts of node
+    states; crashes by [crash]; joins by [add_node]. *)
 
 (** Width, in bits, of a pid as packed into directed-link keys — re-exported
     {!Pid.key_bits}. Every pid handed to the engine must be in
@@ -68,7 +68,6 @@ val create :
 (** {2 Observation} *)
 
 val time : ('s, 'm) t -> float
-val rng : ('s, 'm) t -> Rng.t
 val trace : ('s, 'm) t -> Trace.t
 val telemetry : ('s, 'm) t -> Telemetry.t
 val pids : ('s, 'm) t -> Pid.t list
@@ -87,10 +86,7 @@ val steps : ('s, 'm) t -> int
 
 (** {2 Fault injection and dynamics} *)
 
-val set_state : ('s, 'm) t -> Pid.t -> 's -> unit
-val map_states : ('s, 'm) t -> (Pid.t -> 's -> 's) -> unit
 val corrupt_channel : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm list -> unit
-val clear_channels : ('s, 'm) t -> unit
 
 (** [crash t p] stops [p] permanently (fail-stop; the paper models rejoins
     as transient faults, never as explicit rejoining). *)

@@ -233,12 +233,12 @@ let test_loop_plan () =
       ]
   in
   let sc = scenario ~seed:14 () in
-  let sys = Stack_loop.of_scenario ~hooks:Stack.unit_hooks sc in
-  (match Stack_loop.run_plan sys ~plan ~max_rounds:1500 with
+  let sys = Stack.Loop.of_scenario ~hooks:Stack.unit_hooks sc in
+  (match Stack.Loop.run_plan sys ~plan ~max_rounds:1500 with
   | Some _ -> ()
   | None -> Alcotest.fail "loop did not stabilize after the plan");
   let counters =
-    Telemetry.counters (Runtime.Loop.telemetry (Stack_loop.loop sys))
+    Telemetry.counters (Runtime.Loop.telemetry (Stack.Loop.engine sys))
   in
   let total kind =
     List.fold_left

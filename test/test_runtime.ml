@@ -245,47 +245,55 @@ let test_loop_crash () =
 (* Sim-vs-loop equivalence of the full stack                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_stack_on_both_runtimes () =
+let pp_conf fmt = function
+  | Some c -> Pid.pp_set fmt c
+  | None -> Format.fprintf fmt "<none>"
+
+(* compare with set equality, not polymorphic [=]: equal sets may have
+   different internal tree shapes (interning canonicalizes across
+   construction paths) *)
+let conf = Alcotest.testable pp_conf (Option.equal Pid.Set.equal)
+
+(* One scenario, written once against the system API: bootstrap to the
+   members' configuration, then corrupt every live node and recover to it
+   through brute-force resets. *)
+let bootstrap_and_recover name (module S : Stack.SYSTEM) =
   let members = [ 1; 2; 3 ] in
-  let sim =
-    Stack.of_scenario ~hooks:Stack.unit_hooks
-      (Scenario.make ~seed:11 ~n_bound:16 ~members ())
-  in
-  Alcotest.(check bool) "sim quiescent" true
-    (Stack.run_until sim ~max_steps:400_000 (fun t -> Stack.quiescent t));
-  let lp =
-    Stack_loop.of_scenario ~hooks:Stack.unit_hooks
-      (Scenario.make ~seed:11 ~n_bound:16 ~members ())
-  in
-  (match Stack_loop.run_until_quiescent lp ~max_rounds:300 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "loop runtime never quiescent");
   let expect = Some (set members) in
-  let pp_conf fmt = function
-    | Some c -> Pid.pp_set fmt c
-    | None -> Format.fprintf fmt "<none>"
+  let sys =
+    S.of_scenario ~hooks:Stack.unit_hooks (Scenario.make ~seed:11 ~n_bound:16 ~members ())
   in
-  (* compare with set equality, not polymorphic [=]: equal sets may have
-     different internal tree shapes (interning canonicalizes across
-     construction paths) *)
-  let conf = Alcotest.testable pp_conf (Option.equal Pid.Set.equal) in
-  Alcotest.check conf "sim agrees on the bootstrap configuration" expect
-    (Stack.uniform_config sim);
-  Alcotest.check conf "loop agrees on the same configuration" expect
-    (Stack_loop.uniform_config lp)
+  let quiesce what =
+    if S.run_until_quiescent sys ~max_rounds:300 = None then
+      Alcotest.failf "%s: never quiescent %s" name what
+  in
+  quiesce "after bootstrap";
+  Alcotest.check conf (name ^ " agrees on the bootstrap configuration") expect
+    (S.uniform_config sys);
+  let resets = S.total_resets sys in
+  let rng = Rng.create 3 in
+  List.iter (fun (p, _) -> S.corrupt_node sys p ~rng) (S.live_nodes sys);
+  quiesce "after corrupting every node";
+  Alcotest.check conf (name ^ " recovers the configuration") expect (S.uniform_config sys);
+  Alcotest.(check bool) (name ^ " recovered through a reset") true
+    (S.total_resets sys > resets)
+
+let test_stack_on_both_runtimes () =
+  bootstrap_and_recover "sim" (module Stack);
+  bootstrap_and_recover "loop" (module Stack.Loop)
 
 let test_loop_stack_joiner () =
   let lp =
-    Stack_loop.of_scenario ~hooks:Stack.unit_hooks
+    Stack.Loop.of_scenario ~hooks:Stack.unit_hooks
       (Scenario.make ~seed:5 ~n_bound:16 ~members:[ 1; 2; 3 ] ())
   in
-  (match Stack_loop.run_until_quiescent lp ~max_rounds:300 with
+  (match Stack.Loop.run_until_quiescent lp ~max_rounds:300 with
   | Some _ -> ()
   | None -> Alcotest.fail "never quiescent");
-  Stack_loop.add_joiner lp 9;
-  Stack_loop.run_rounds lp 200;
+  Stack.Loop.add_joiner lp 9;
+  Stack.Loop.run_rounds lp 200;
   Alcotest.(check bool) "joiner converges to trusting the members" true
-    (Pid.Set.subset (set [ 1; 2; 3 ]) (Stack_loop.trusted_of lp 9))
+    (Pid.Set.subset (set [ 1; 2; 3 ]) (Stack.Loop.trusted_of lp 9))
 
 let suites =
   [
