@@ -2,9 +2,10 @@
 
    Every subcommand that runs a system is configured the same way: the
    flags below build one Reconfig.Scenario.t (topology, seed, channel
-   model, fault plan, sink paths), and the subcommand hands it to
-   Stack.of_scenario / Stack.Loop.of_scenario. Adding a knob means adding
-   it here once, not in five argument lists. *)
+   model), and the subcommand hands it to Stack.of_scenario /
+   Stack.Loop.of_scenario. Subcommands that export their run also take the
+   sink paths ({!sinks_term}). Adding a knob means adding it here once,
+   not in five argument lists. *)
 
 open Cmdliner
 open Reconfig
@@ -51,16 +52,25 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:"Write the run's event trace to $(docv) as JSON Lines.")
 
-(* The scenario every run-flavoured subcommand shares. The fault plan rides
-   separately ({!plan_term}) because only some subcommands accept one. *)
-let scenario_term ?(name = "scenario") () =
-  let build n seed loss jobs metrics_out metrics_jsonl trace_out =
-    Scenario.make ~name ~seed ~loss ~jobs ?metrics_out ?metrics_jsonl
-      ?trace_out ~nodes:n ()
+(* The scenario every run-flavoured subcommand shares. The fault plan and
+   the sinks ride separately ({!plan_term}, {!sinks_term}) because only
+   some subcommands accept them. *)
+let scenario_term =
+  let build n seed loss = Scenario.make ~seed ~loss ~nodes:n () in
+  Term.(const build $ n_arg $ seed_arg $ loss_arg)
+
+(* Where a run's telemetry and trace are written; [None] = not written. *)
+type sinks = {
+  metrics_out : string option;  (* Prometheus text *)
+  metrics_jsonl : string option;  (* JSON Lines metrics *)
+  trace_out : string option;  (* JSON Lines trace *)
+}
+
+let sinks_term =
+  let build metrics_out metrics_jsonl trace_out =
+    { metrics_out; metrics_jsonl; trace_out }
   in
-  Term.(
-    const build $ n_arg $ seed_arg $ loss_arg $ jobs_arg $ metrics_out_arg
-    $ metrics_jsonl_arg $ trace_out_arg)
+  Term.(const build $ metrics_out_arg $ metrics_jsonl_arg $ trace_out_arg)
 
 let plan_term =
   let plan_file =
@@ -99,10 +109,10 @@ let entry_json e =
     (Telemetry.Export.json_escape e.Sim.Trace.tag)
     (Telemetry.Export.json_escape e.Sim.Trace.detail)
 
-(* Write the run's telemetry/trace to whichever sinks the scenario names.
+(* Write the run's telemetry/trace to whichever sinks are named.
    All three renderings are deterministic for a fixed seed: the registry
    never reads wall clocks and exports are sorted. *)
-let export ~tele ~trace (sc : Scenario.t) =
+let export ~tele ~trace sinks =
   let dump path render =
     match path with
     | None -> ()
@@ -114,10 +124,9 @@ let export ~tele ~trace (sc : Scenario.t) =
       close_out oc;
       Format.printf "wrote %s@." path
   in
-  dump sc.Scenario.sc_metrics_out (fun buf -> Telemetry.Export.prometheus buf tele);
-  dump sc.Scenario.sc_metrics_jsonl (fun buf ->
-      Telemetry.Export.metrics_jsonl buf tele);
-  dump sc.Scenario.sc_trace_out (fun buf ->
+  dump sinks.metrics_out (fun buf -> Telemetry.Export.prometheus buf tele);
+  dump sinks.metrics_jsonl (fun buf -> Telemetry.Export.metrics_jsonl buf tele);
+  dump sinks.trace_out (fun buf ->
       Sim.Trace.iter trace (fun e ->
           Buffer.add_string buf (entry_json e);
           Buffer.add_char buf '\n'))

@@ -79,9 +79,9 @@ let pp_config fmt sys =
   | Some c -> Pid.pp_set fmt c
   | None -> Format.fprintf fmt "(no agreement yet)"
 
-let export_sys sys (sc : Scenario.t) =
+let export_sys sys sinks =
   let eng = Stack.engine sys in
-  Cli_common.export ~tele:(Engine.telemetry eng) ~trace:(Engine.trace eng) sc
+  Cli_common.export ~tele:(Engine.telemetry eng) ~trace:(Engine.trace eng) sinks
 
 let scenario_steady (sc : Scenario.t) =
   let n = Scenario.nodes sc in
@@ -194,7 +194,7 @@ let scenario_cmd =
           `Steady
       & info [] ~docv:"SCENARIO" ~doc:"One of: steady, transient, churn, scale.")
   in
-  let run kind sc =
+  let run kind sc sinks =
     let sys =
       match kind with
       | `Steady -> scenario_steady sc
@@ -202,11 +202,11 @@ let scenario_cmd =
       | `Churn -> scenario_churn sc
       | `Scale -> scenario_scale sc
     in
-    export_sys sys sc
+    export_sys sys sinks
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a named scenario and narrate the outcome.")
-    Term.(const run $ kind $ Cli_common.scenario_term ~name:"scenario" ())
+    Term.(const run $ kind $ Cli_common.scenario_term $ Cli_common.sinks_term)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                               *)
@@ -256,13 +256,12 @@ let faults_cmd =
              ($(b,sim)) or the real-time event loop ($(b,loop)). The loop has \
              no channel state to corrupt; such events are counted as skipped.")
   in
-  let run sc plan runtime =
+  let run sc sinks plan runtime =
     let plan =
       match plan with
       | Some p -> p
       | None -> demo_plan (Scenario.nodes sc) sc.Scenario.sc_seed
     in
-    let sc = Scenario.with_plan sc (Some plan) in
     Format.printf "%a@." Faults.Fault_plan.pp plan;
     match runtime with
     | `Sim ->
@@ -272,7 +271,7 @@ let faults_cmd =
       report_plan_outcome ~tele ~recovery;
       Format.printf "final config: %a (resets: %d)@." pp_config sys
         (Stack.total_resets sys);
-      export_sys sys sc
+      export_sys sys sinks
     | `Loop ->
       let sys = Stack.Loop.of_scenario ~hooks:Stack.unit_hooks sc in
       let recovery = Stack.Loop.run_plan sys ~plan ~max_rounds:2000 in
@@ -282,7 +281,7 @@ let faults_cmd =
       (match Stack.Loop.uniform_config sys with
       | Some c -> Format.printf "final config: %a@." Pid.pp_set c
       | None -> Format.printf "final config: (no agreement yet)@.");
-      Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sc
+      Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sinks
   in
   Cmd.v
     (Cmd.info "faults"
@@ -291,8 +290,8 @@ let faults_cmd =
           report stabilization.")
     Term.(
       const run
-      $ Cli_common.scenario_term ~name:"faults" ()
-      $ Cli_common.plan_term $ runtime)
+      $ Cli_common.scenario_term $ Cli_common.sinks_term $ Cli_common.plan_term
+      $ runtime)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                                *)
@@ -323,7 +322,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the protocol event trace of a transient-fault recovery.")
-    Term.(const run $ Cli_common.scenario_term ~name:"trace" () $ json_arg)
+    Term.(const run $ Cli_common.scenario_term $ json_arg)
 
 let () =
   let info =

@@ -64,17 +64,6 @@ let kinds =
     "join";
   ]
 
-let last_round t =
-  List.fold_left
-    (fun acc e ->
-      let last =
-        match e.event with
-        | Partition { heal_after; _ } -> e.at + heal_after
-        | _ -> e.at
-      in
-      max acc last)
-    (-1) t.entries
-
 let equal a b = a = b
 
 let pp_target fmt = function

@@ -98,10 +98,6 @@ val kind : event -> string
 val kinds : string list
 (** Every identifier {!kind} can return, in a fixed order. *)
 
-val last_round : t -> int
-(** The last round the plan acts in, including scheduled partition heals;
-    [-1] for the empty plan. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -48,15 +48,15 @@ module View = struct
     | None -> false
 end
 
-module Plugin = struct
-  type ('app, 'msg) t = {
-    p_init : Pid.t -> 'app;
-    p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-    p_corrupt : Rng.t -> 'app -> 'app;
-  }
+type ('app, 'msg) plugin = {
+  p_init : Pid.t -> 'app;
+  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
+  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
+  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
+  p_corrupt : Rng.t -> 'app -> 'app;
+}
 
+module Plugin = struct
   let null =
     {
       p_init = (fun _ -> ());
@@ -64,56 +64,6 @@ module Plugin = struct
       p_recv = (fun _ ~from:_ _ app -> (app, []));
       p_merge = (fun ~self:_ app _ -> app);
       p_corrupt = (fun _ app -> app);
-    }
-
-  let map ~state ~state_back ~msg ~msg_back p =
-    let out l = List.map (fun (d, m) -> (d, msg m)) l in
-    {
-      p_init = (fun pid -> state (p.p_init pid));
-      p_tick =
-        (fun v app ->
-          let a, l = p.p_tick v (state_back app) in
-          (state a, out l));
-      p_recv =
-        (fun v ~from m app ->
-          match msg_back m with
-          | None -> (app, [])
-          | Some m ->
-            let a, l = p.p_recv v ~from m (state_back app) in
-            (state a, out l));
-      p_merge =
-        (fun ~self app others ->
-          state (p.p_merge ~self (state_back app) (Pid.Map.map state_back others)));
-      p_corrupt = (fun rng app -> state (p.p_corrupt rng (state_back app)));
-    }
-
-  let pair pa pb =
-    let fst_out l = List.map (fun (d, m) -> (d, `Fst m)) l in
-    let snd_out l = List.map (fun (d, m) -> (d, `Snd m)) l in
-    {
-      p_init = (fun pid -> (pa.p_init pid, pb.p_init pid));
-      p_tick =
-        (fun v (a, b) ->
-          let a', la = pa.p_tick v a in
-          let b', lb = pb.p_tick v b in
-          ((a', b'), fst_out la @ snd_out lb));
-      p_recv =
-        (fun v ~from m (a, b) ->
-          match m with
-          | `Fst m ->
-            let a', l = pa.p_recv v ~from m a in
-            ((a', b), fst_out l)
-          | `Snd m ->
-            let b', l = pb.p_recv v ~from m b in
-            ((a, b'), snd_out l));
-      p_merge =
-        (fun ~self (a, b) others ->
-          ( pa.p_merge ~self a (Pid.Map.map fst others),
-            pb.p_merge ~self b (Pid.Map.map snd others) ));
-      p_corrupt =
-        (fun rng (a, b) ->
-          let a = pa.p_corrupt rng a in
-          (a, pb.p_corrupt rng b));
     }
 
   let stack ~lower ~get ~set ~wrap ~unwrap upper =
@@ -144,41 +94,18 @@ module Plugin = struct
     }
 end
 
-type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
-  p_init : Pid.t -> 'app;
-  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-  p_corrupt : Rng.t -> 'app -> 'app;
-}
-
 type ('app, 'msg) hooks = {
   eval_conf : self:Pid.t -> trusted:Pid.Set.t -> Pid.Set.t -> bool;
   pass_query : self:Pid.t -> joiner:Pid.t -> bool;
   plugin : ('app, 'msg) plugin;
 }
 
-let null_plugin = Plugin.null
-
 let unit_hooks =
   {
     eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
     pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = null_plugin;
+    plugin = Plugin.null;
   }
-
-(* The uniform shape every Section-4 service module exposes; see the
-   matching module type in stack.mli. *)
-module type SERVICE = sig
-  type state
-  type msg
-
-  val name : string
-  val plugin : (state, msg) Plugin.t
-  val hooks : (state, msg) hooks
-  val corrupt : Rng.t -> state -> state
-  val declare_metrics : Telemetry.t -> unit
-end
 
 let default_eval_conf ?(fraction = 0.25) () ~self:_ ~trusted members =
   let total = Pid.Set.cardinal members in
@@ -514,7 +441,6 @@ module type SYSTEM = sig
   val node : ('app, 'msg) t -> Pid.t -> 'app node_state
   val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
   val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
-  val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
   val uniform_config : ('app, 'msg) t -> Pid.Set.t option
   val quiescent : ('app, 'msg) t -> bool
   val total_resets : ('app, 'msg) t -> int
@@ -573,7 +499,6 @@ module Make (H : HOST) : SYSTEM with type ('s, 'm) host = ('s, 'm) H.t = struct
   let node t p = H.state t.host p
   let live_nodes t = List.map (fun p -> (p, H.state t.host p)) (H.live_pids t.host)
   let trusted_of t p = Detector.Theta_fd.trusted (node t p).fd
-  let config_views t = List.map (fun (p, n) -> (p, Recsa.config n.sa)) (live_nodes t)
   let uniform_config t = uniform_config_of (live_nodes t)
   let quiescent t = quiescent_of (live_nodes t)
   let sum_over t f = List.fold_left (fun acc (_, n) -> acc + f n) 0 (live_nodes t)

@@ -11,9 +11,10 @@
     and {!Loop} the same system on the event loop.
 
     ['app] is the application state (replicated to joiners by the joining
-    mechanism); ['msg] is the application's own message type. The services
-    of Section 4 (labeling, counters, virtual synchrony) are plugins,
-    composed with the {!Plugin} combinators. *)
+    mechanism); ['msg] is the application's own message type. Every
+    Section-4 service (labeling, counters, virtual synchrony, shared
+    memory) is a {!plugin} record carried by {!hooks}; {!Plugin.stack}
+    layers one service over another. *)
 
 open Sim
 
@@ -72,72 +73,47 @@ module View : sig
   val is_member : scheme_view -> bool
 end
 
-(** Application plugins: ticked after the scheme layers on every timer
-    step; receive every [App] message. Both return messages to send. *)
+(** An application plugin — the one contract through which every
+    Section-4 service sits on the scheme: ticked after the scheme layers on
+    every timer step, handed every [App] message. Both return messages to
+    send. *)
+type ('app, 'msg) plugin = {
+  p_init : Pid.t -> 'app;
+  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
+  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
+  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
+      (** [initVars]: combine members' states into a fresh participant's
+          state when joining completes *)
+  p_corrupt : Rng.t -> 'app -> 'app;
+      (** transient fault: rewrite the application state with seeded
+          garbage. Self-stabilization demands the plugin converge from
+          whatever this returns; [corrupt_node] and fault plans call it
+          alongside the scheme-layer corruptors. *)
+}
+
 module Plugin : sig
-  type ('app, 'msg) t = {
-    p_init : Pid.t -> 'app;
-    p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-        (** [initVars]: combine members' states into a fresh participant's
-            state when joining completes *)
-    p_corrupt : Rng.t -> 'app -> 'app;
-        (** transient fault: rewrite the application state with seeded
-            garbage. Self-stabilization demands the plugin converge from
-            whatever this returns; [corrupt_node] and fault plans call it
-            alongside the scheme-layer corruptors. *)
-  }
-
   (** A do-nothing plugin for running the bare reconfiguration scheme. *)
-  val null : (unit, unit) t
-
-  (** [map ~state ~state_back ~msg ~msg_back p] transports [p] across a
-      state isomorphism and a message embedding. [msg_back] is a partial
-      inverse: messages it maps to [None] are dropped on receipt. With
-      identity functions, [map] is the identity (the functor law tested in
-      the suite). [p_corrupt] is transported through the isomorphism;
-      [pair] corrupts both components; [stack] corrupts the lower layer
-      through the lens, then the upper. *)
-  val map :
-    state:('a -> 'b) ->
-    state_back:('b -> 'a) ->
-    msg:('ma -> 'mb) ->
-    msg_back:('mb -> 'ma option) ->
-    ('a, 'ma) t ->
-    ('b, 'mb) t
-
-  (** [pair pa pb] runs two independent plugins side by side: [pa] ticks
-      first and its messages precede [pb]'s; receipts are routed by the
-      [`Fst]/[`Snd] tag. *)
-  val pair :
-    ('a, 'ma) t -> ('b, 'mb) t -> ('a * 'b, [ `Fst of 'ma | `Snd of 'mb ]) t
+  val null : (unit, unit) plugin
 
   (** [stack ~lower ~get ~set ~wrap ~unwrap upper] layers [upper] over
       [lower], with [lower]'s state embedded in [upper]'s through the
       [get]/[set] lens and its messages embedded through [wrap]/[unwrap].
       Each tick runs [lower] first (its messages precede [upper]'s, and
       [upper] observes the post-tick lower state); receipts that [unwrap]
-      recognizes go to [lower] alone, all others to [upper]. This is how
+      recognizes go to [lower] alone, all others to [upper]. [p_corrupt]
+      corrupts [lower] through the lens, then [upper]; [p_merge] merges
+      [lower] over [get] of the others' states, then [upper]. This is how
       the register and virtual-synchrony services embed the counter
       service. *)
   val stack :
-    lower:('a, 'ma) t ->
+    lower:('a, 'ma) plugin ->
     get:('b -> 'a) ->
     set:('b -> 'a -> 'b) ->
     wrap:('ma -> 'mb) ->
     unwrap:('mb -> 'ma option) ->
-    ('b, 'mb) t ->
-    ('b, 'mb) t
+    ('b, 'mb) plugin ->
+    ('b, 'mb) plugin
 end
-
-type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
-  p_init : Pid.t -> 'app;
-  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-  p_corrupt : Rng.t -> 'app -> 'app;
-}
 
 type ('app, 'msg) hooks = {
   eval_conf : self:Pid.t -> trusted:Pid.Set.t -> Pid.Set.t -> bool;
@@ -146,34 +122,6 @@ type ('app, 'msg) hooks = {
       (** may this joiner enter the computation? *)
   plugin : ('app, 'msg) plugin;
 }
-
-(** The uniform shape of a Section-4 service ([Counter_service],
-    [Label_service], [Register_service], [Vs_service]): default plugin and
-    hooks (init/step), a state corruptor for fault injection, and telemetry
-    schema declaration. Polymorphic services (virtual synchrony over an
-    arbitrary state machine) instantiate it at a canonical type. *)
-module type SERVICE = sig
-  type state
-  type msg
-
-  val name : string
-
-  val plugin : (state, msg) Plugin.t
-  (** Default-configured plugin; [plugin.p_corrupt] equals {!corrupt}. *)
-
-  val hooks : (state, msg) hooks
-  (** Default-configured hooks wrapping {!plugin}. *)
-
-  val corrupt : Rng.t -> state -> state
-  (** Transient fault: seeded garbage into the service state. *)
-
-  val declare_metrics : Telemetry.t -> unit
-  (** Pre-register the service's telemetry families (a subset of
-      {!declare_metrics}, for harnesses running the service alone). *)
-end
-
-(** Alias of {!Plugin.null}. *)
-val null_plugin : (unit, unit) plugin
 
 (** Never asks for reconfiguration; always passes joiners; null plugin. *)
 val unit_hooks : (unit, unit) hooks
@@ -290,8 +238,8 @@ module type SYSTEM = sig
       enter later via [add_joiner] or a plan's [Join] events.
       [sc_quorum] generalizes recMA's collapse / prediction tests and the
       joining admission test to any intersecting quorum system — the
-      generalization the paper claims in Related Work. The scenario's
-      fault plan is {e not} applied here; pass it to {!run_plan}. *)
+      generalization the paper claims in Related Work. Fault plans are
+      applied by {!run_plan}. *)
 
   val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) host
   (** The underlying host (for trace, telemetry and round access). *)
@@ -305,9 +253,6 @@ module type SYSTEM = sig
   val node : ('app, 'msg) t -> Pid.t -> 'app node_state
   val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
   val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
-
-  val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
-  (** Every live node's configuration value. *)
 
   val uniform_config : ('app, 'msg) t -> Pid.Set.t option
   (** [Some s] iff every live {e participant} holds exactly [Set s] — the

@@ -307,17 +307,3 @@ let hooks ?in_transit_bound ?exhaust_bound () =
     pass_query = (fun ~self:_ ~joiner:_ -> true);
     plugin = plugin ?in_transit_bound ?exhaust_bound ();
   }
-
-(* The register layer itself reports nothing; its embedded counter does. *)
-let declare_metrics = Counter_service.declare_metrics
-
-module Service = struct
-  type nonrec state = state
-  type nonrec msg = msg
-
-  let name = "register"
-  let plugin = plugin ()
-  let hooks = hooks ()
-  let corrupt rng st = plugin.Stack.p_corrupt rng st
-  let declare_metrics = declare_metrics
-end

@@ -39,6 +39,10 @@ type outcome =
   | Wrote of { rid : int; reg : reg }
   | Read of { rid : int; reg : reg; result : value option }
 
+(** [plugin ()] — the Stack plugin: the register layer stacked over the
+    counter service ({!Reconfig.Stack.Plugin.stack}). Its [p_corrupt]
+    (arbitrary-state injection) corrupts the embedded counter scheme, then
+    forgets stored entries and aborts the in-flight operation. *)
 val plugin :
   ?in_transit_bound:int ->
   ?exhaust_bound:int ->
@@ -72,15 +76,3 @@ val stored : state -> reg -> tagged option
 
 (** Aborted attempts (operations retried after a reconfiguration). *)
 val aborts : state -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Pre-register the service's telemetry families (those of the embedded
-    counter scheme; the register layer itself reports nothing). *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Default-configured instance; [corrupt] composes the register-layer
-    injection (forget stored entries, abort the in-flight operation) with
-    the embedded counter scheme's. *)
-module Service :
-  Reconfig.Stack.SERVICE with type state = state and type msg = msg

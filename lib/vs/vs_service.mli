@@ -55,7 +55,11 @@ type ('st, 'cmd) msg
 
 (** [plugin ~machine ~eval_config ()] — the Stack plugin.
     [eval_config ~self ~trusted members] is Algorithm 4.6's prediction
-    function, consulted only at the current coordinator. *)
+    function, consulted only at the current coordinator. The VS layer is
+    stacked over the counter service ({!Reconfig.Stack.Plugin.stack}); its
+    [p_corrupt] (arbitrary-state injection) corrupts the embedded counter
+    scheme, then scrambles the broadcast report's control fields and
+    forgets peer reports. *)
 val plugin :
   machine:('st, 'cmd) machine ->
   ?eval_config:(self:Pid.t -> trusted:Pid.Set.t -> Pid.Set.t -> bool) ->
@@ -89,28 +93,10 @@ val delivered_batches : ('st, 'cmd) state -> (view * (Sim.Pid.t * 'cmd) list) li
 
 val current_view : ('st, 'cmd) state -> view
 val status_of : ('st, 'cmd) state -> status
-val round_of : ('st, 'cmd) state -> int
 
 (** [is_coordinator st] — this node believes itself the valid
     coordinator. *)
 val is_coordinator : ('st, 'cmd) state -> bool
 
-val suspended : ('st, 'cmd) state -> bool
-
 (** Views installed at this node (counts view changes). *)
 val installs : ('st, 'cmd) state -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Pre-register the service's telemetry families (including the embedded
-    counter scheme's). *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Monomorphic instance over the integer-adder machine (the same machine
-    experiment E8 replicates); [corrupt] scrambles the broadcast report's
-    control fields and forgets peer reports, composed with the embedded
-    counter scheme's injection. *)
-module Service :
-  Reconfig.Stack.SERVICE
-    with type state = (int, int) state
-     and type msg = (int, int) msg

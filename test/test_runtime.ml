@@ -1,6 +1,6 @@
 (* Tests for the engine-agnostic runtime layer: the snap-nonce packing, the
-   plugin combinators (map/pair/stack laws), the real-time loop runtime,
-   and the sim-vs-loop equivalence of the full stack. *)
+   plugin stacking combinator, the real-time loop runtime, and the
+   sim-vs-loop equivalence of the full stack. *)
 
 open Sim
 open Reconfig
@@ -34,7 +34,7 @@ let test_snap_nonce_injective () =
     pids
 
 (* ------------------------------------------------------------------ *)
-(* Plugin combinators                                                  *)
+(* Plugin stacking                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let dummy_view ?(self = 1) () =
@@ -49,7 +49,8 @@ let dummy_view ?(self = 1) () =
   }
 
 (* A plugin whose state is a newest-first log of everything that happened
-   to it, and whose tick always emits two tagged messages. *)
+   to it, and whose tick always emits two tagged messages. Its merge
+   records the head of every other state it was handed. *)
 let probe tag =
   {
     Stack.p_init = (fun pid -> [ Printf.sprintf "%s.init.%d" tag pid ]);
@@ -58,62 +59,15 @@ let probe tag =
         (Printf.sprintf "%s.tick" tag :: log, [ (2, tag ^ ".m1"); (3, tag ^ ".m2") ]));
     p_recv =
       (fun _v ~from m log -> (Printf.sprintf "%s.recv.%d.%s" tag from m :: log, []));
-    p_merge = (fun ~self:_ log _ -> "merged" :: log);
-    p_corrupt = (fun _ st -> st);
+    p_merge =
+      (fun ~self log others ->
+        let heads =
+          Pid.Map.bindings others
+          |> List.map (fun (p, l) -> Printf.sprintf "%d:%s" p (List.hd l))
+        in
+        Printf.sprintf "%s.merge.%d(%s)" tag self (String.concat "," heads) :: log);
+    p_corrupt = (fun _ log -> (tag ^ ".corrupt") :: log);
   }
-
-let test_map_identity () =
-  let p = probe "p" in
-  let q =
-    Stack.Plugin.map ~state:Fun.id ~state_back:Fun.id ~msg:Fun.id
-      ~msg_back:Option.some p
-  in
-  let v = dummy_view () in
-  Alcotest.(check (list string)) "init equal" (p.Stack.p_init 7) (q.Stack.p_init 7);
-  let st_p, out_p = p.Stack.p_tick v (p.Stack.p_init 1) in
-  let st_q, out_q = q.Stack.p_tick v (q.Stack.p_init 1) in
-  Alcotest.(check (list string)) "tick state equal" st_p st_q;
-  Alcotest.(check (list (pair int string))) "tick messages equal" out_p out_q;
-  let st_p, _ = p.Stack.p_recv v ~from:2 "x" st_p in
-  let st_q, _ = q.Stack.p_recv v ~from:2 "x" st_q in
-  Alcotest.(check (list string)) "recv state equal" st_p st_q
-
-let test_map_drops_unrecognized () =
-  let p = probe "p" in
-  let q =
-    Stack.Plugin.map ~state:Fun.id ~state_back:Fun.id ~msg:Fun.id
-      ~msg_back:(fun _ -> None)
-      p
-  in
-  let v = dummy_view () in
-  let st0 = q.Stack.p_init 1 in
-  let st, out = q.Stack.p_recv v ~from:2 "x" st0 in
-  Alcotest.(check (list string)) "state untouched" st0 st;
-  Alcotest.(check (list (pair int string))) "nothing sent" [] out
-
-let fst_snd_msg =
-  let pp fmt = function
-    | `Fst m -> Format.fprintf fmt "Fst %s" m
-    | `Snd m -> Format.fprintf fmt "Snd %s" m
-  in
-  Alcotest.testable pp ( = )
-
-let test_pair_ordering_and_routing () =
-  let pq = Stack.Plugin.pair (probe "a") (probe "b") in
-  let v = dummy_view () in
-  let st0 = pq.Stack.p_init 1 in
-  Alcotest.(check (pair (list string) (list string)))
-    "init is the product" ([ "a.init.1" ], [ "b.init.1" ]) st0;
-  let st, out = pq.Stack.p_tick v st0 in
-  (* left ticks first and its messages precede the right's *)
-  Alcotest.(check (list (pair int fst_snd_msg)))
-    "tick order: Fst before Snd"
-    [ (2, `Fst "a.m1"); (3, `Fst "a.m2"); (2, `Snd "b.m1"); (3, `Snd "b.m2") ]
-    out;
-  let (sa, sb), _ = pq.Stack.p_recv v ~from:5 (`Fst "hello") st in
-  Alcotest.(check (list string))
-    "Fst routed to the left" [ "a.recv.5.hello"; "a.tick"; "a.init.1" ] sa;
-  Alcotest.(check (list string)) "right untouched" [ "b.tick"; "b.init.1" ] sb
 
 let lo_hi_msg =
   let pp fmt = function
@@ -122,8 +76,9 @@ let lo_hi_msg =
   in
   Alcotest.testable pp ( = )
 
-(* upper state = (lower log, upper log); upper's tick records a snapshot of
-   the lower log so the lower-ticks-first contract is observable. *)
+(* upper state = (lower log, upper log); upper's tick, merge and corrupt
+   record a snapshot of the lower log so the lower-first contract is
+   observable. *)
 let stacked () =
   let upper =
     {
@@ -137,8 +92,17 @@ let stacked () =
           match m with
           | `Hi s -> ((lo, Printf.sprintf "hi.recv.%d.%s" from s :: hi), [])
           | `Lo _ -> ((lo, "hi.MUST_NOT_SEE_LO" :: hi), []));
-      p_merge = (fun ~self:_ st _ -> st);
-      p_corrupt = (fun _ st -> st);
+      p_merge =
+        (fun ~self:_ (lo, hi) others ->
+          let heads =
+            Pid.Map.bindings others
+            |> List.map (fun (p, (_, h)) -> Printf.sprintf "%d:%s" p (List.hd h))
+          in
+          ( lo,
+            Printf.sprintf "hi.merge(after %s; %s)" (List.hd lo) (String.concat "," heads)
+            :: hi ));
+      p_corrupt =
+        (fun _ (lo, hi) -> (lo, Printf.sprintf "hi.corrupt(after %s)" (List.hd lo) :: hi));
     }
   in
   Stack.Plugin.stack ~lower:(probe "lo")
@@ -163,6 +127,13 @@ let test_stack_ordering () =
   Alcotest.(check (list string))
     "upper saw the post-tick lower state"
     [ "hi.tick(saw 2 lo events)"; "hi.init.1" ]
+    hi;
+  (* corruption: the lower through the lens first, then the upper *)
+  let lo, hi = p.Stack.p_corrupt (Rng.create 1) st0 in
+  Alcotest.(check (list string)) "lower corrupted" [ "lo.corrupt"; "lo.init.1" ] lo;
+  Alcotest.(check (list string))
+    "upper corrupted after the lower"
+    [ "hi.corrupt(after lo.corrupt)"; "hi.init.1" ]
     hi
 
 let test_stack_routing () =
@@ -176,7 +147,18 @@ let test_stack_routing () =
   Alcotest.(check (list (pair int lo_hi_msg))) "lower replies re-wrapped" [] out;
   let (lo, hi), _ = p.Stack.p_recv v ~from:4 (`Hi "yo") st0 in
   Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] lo;
-  Alcotest.(check (list string)) "Hi routed to the upper" [ "hi.recv.4.yo"; "hi.init.1" ] hi
+  Alcotest.(check (list string)) "Hi routed to the upper" [ "hi.recv.4.yo"; "hi.init.1" ] hi;
+  (* merge: the lower merges the others' lower states (through [get]),
+     then the upper merges the whole states over the merged lower *)
+  let others = Pid.Map.of_list [ (2, p.Stack.p_init 2); (3, p.Stack.p_init 3) ] in
+  let lo, hi = p.Stack.p_merge ~self:1 st0 others in
+  let lo_merge = "lo.merge.1(2:lo.init.2,3:lo.init.3)" in
+  Alcotest.(check (list string))
+    "lower merged over the others' lower states" [ lo_merge; "lo.init.1" ] lo;
+  Alcotest.(check (list string))
+    "upper merged after the lower, over whole states"
+    [ Printf.sprintf "hi.merge(after %s; 2:hi.init.2,3:hi.init.3)" lo_merge; "hi.init.1" ]
+    hi
 
 (* ------------------------------------------------------------------ *)
 (* The loop runtime                                                    *)
@@ -304,9 +286,6 @@ let suites =
       ] );
     ( "runtime.plugin",
       [
-        Alcotest.test_case "map identity" `Quick test_map_identity;
-        Alcotest.test_case "map drops unrecognized" `Quick test_map_drops_unrecognized;
-        Alcotest.test_case "pair ordering/routing" `Quick test_pair_ordering_and_routing;
         Alcotest.test_case "stack ordering" `Quick test_stack_ordering;
         Alcotest.test_case "stack routing" `Quick test_stack_routing;
       ] );
