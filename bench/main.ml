@@ -150,7 +150,22 @@ let bench_engine_round_16 =
 let bench_engine_round_64 =
   Test.make ~name:"engine.round_64node_gossip" (Staged.stage (gossip_round_subject 64 64))
 
-let micro_tests =
+(* one round of the whole stack (unit hooks, no faults) on a warm system:
+   what the always-on self-stabilizing gossip costs, against the bare
+   engine rounds above *)
+let stack_round_subject n =
+  let members = List.init n (fun i -> i + 1) in
+  let sys =
+    Reconfig.Stack.of_scenario ~hooks:Reconfig.Stack.unit_hooks
+      (Reconfig.Scenario.make ~seed:n ~n_bound:(2 * n) ~members ())
+  in
+  ignore (Reconfig.Stack.run_until_quiescent sys ~max_rounds:500);
+  Test.make
+    ~name:(Printf.sprintf "stack.round_%d" n)
+    (Staged.stage (fun () -> Reconfig.Stack.run_rounds sys 1))
+
+(* built on demand: the stack subjects warm a whole system first *)
+let micro_tests () =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
       bench_rng;
@@ -165,6 +180,8 @@ let micro_tests =
       bench_engine_round;
       bench_engine_round_16;
       bench_engine_round_64;
+      stack_round_subject 16;
+      stack_round_subject 64;
     ]
 
 let run_micro () =
@@ -173,7 +190,7 @@ let run_micro () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances micro_tests in
+  let raw = Benchmark.all cfg instances (micro_tests ()) in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   Hashtbl.fold
     (fun name ols acc ->

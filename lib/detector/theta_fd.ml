@@ -3,10 +3,12 @@ open Sim
 (* Counts are stored inverted: a single [epoch] advances on every arrival,
    and [last] records the epoch at which each processor was last heard.
    A processor's count — "arrivals since we last heard from it" — is then
-   [epoch - last], so a heartbeat is two O(log n) map updates instead of
+   [epoch - last], so a heartbeat is one O(log n) map update instead of
    rebuilding the whole counts map (the naive representation allocates
    O(n) map nodes per delivered message, which dominates the simulator's
-   large-N hot path). *)
+   large-N hot path). Self is always in [last] and its count is always 0
+   (every heartbeat zeroes it in the paper's vector), so its stored epoch
+   is never read and a heartbeat need not restamp it. *)
 type t = {
   n_bound : int;
   theta : int;
@@ -24,15 +26,18 @@ let self t = t.fd_self
 
 let heartbeat t p =
   t.epoch <- t.epoch + 1;
-  t.last <- Pid.Map.add p t.epoch (Pid.Map.add t.fd_self t.epoch t.last)
+  t.last <- Pid.Map.add p t.epoch t.last
 
-let forget t p = t.last <- Pid.Map.remove p t.last
+let forget t p = if not (Pid.equal p t.fd_self) then t.last <- Pid.Map.remove p t.last
+let count_of t p l = if Pid.equal p t.fd_self then 0 else t.epoch - l
+
+let compare_ranked ((c1 : int), p1) (c2, p2) =
+  if c1 <> c2 then Int.compare c1 c2 else Pid.compare p1 p2
 
 (* Sort by (count, pid); walk the prefix until the gap opens. *)
 let ranked t =
-  Pid.Map.bindings t.last
-  |> List.map (fun (p, l) -> (t.epoch - l, p))
-  |> List.sort compare
+  Pid.Map.fold (fun p l acc -> (count_of t p l, p) :: acc) t.last []
+  |> List.sort compare_ranked
 
 let trusted_list t =
   (* The gap threshold scales with the number of known processors: between
@@ -54,8 +59,10 @@ let trusted_list t =
 
 let trusted t = Pid.Set.add t.fd_self (Pid.set_of_list (trusted_list t))
 let estimate t = Pid.Set.cardinal (trusted t)
-let count t p = Option.map (fun l -> t.epoch - l) (Pid.Map.find_opt p t.last)
+let count t p = Option.map (count_of t p) (Pid.Map.find_opt p t.last)
 let known t = Pid.Map.fold (fun p _ acc -> Pid.Set.add p acc) t.last Pid.Set.empty
+let mem_known t p = Pid.Map.mem p t.last
+let iter_known t f = Pid.Map.iter (fun p _ -> f p) t.last
 
 let corrupt t assoc =
   t.last <-

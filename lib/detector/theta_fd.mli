@@ -31,7 +31,7 @@ val heartbeat : t -> Pid.t -> unit
 
 (** [forget t p] removes [p] from the vector entirely (used when a crash
     becomes permanent knowledge in tests; the algorithm itself never needs
-    it). *)
+    it). Self is never forgotten. *)
 val forget : t -> Pid.t -> unit
 
 (** [trusted t] is the current trusted set (the paper's [FD\[i\]]): the
@@ -42,11 +42,20 @@ val trusted : t -> Pid.Set.t
 (** [estimate t] is the live-count estimate [n_i ≤ N]. *)
 val estimate : t -> int
 
-(** [count t p] is [p]'s current heartbeat count ([None] if unknown). *)
+(** [count t p] is [p]'s current heartbeat count ([None] if unknown);
+    self's is always [Some 0]. *)
 val count : t -> Pid.t -> int option
 
-(** [known t] is every processor ever heard from (trusted or suspected). *)
+(** [known t] is every processor ever heard from (trusted or suspected),
+    and self. *)
 val known : t -> Pid.Set.t
+
+(** [mem_known t p] is [Pid.Set.mem p (known t)], without building the set. *)
+val mem_known : t -> Pid.t -> bool
+
+(** [iter_known t f] applies [f] to every member of [known t] in ascending
+    order, without building the set. *)
+val iter_known : t -> (Pid.t -> unit) -> unit
 
 (** Arbitrary-state injection for stabilization tests. *)
 val corrupt : t -> (Pid.t * int) list -> unit

@@ -27,8 +27,8 @@ let flush_flags t =
 
 let flag m p = match Pid.Map.find_opt p m with Some b -> b | None -> false
 
-let core t ~trusted ~recsa =
-  let part = Recsa.participants recsa ~trusted in
+(* core() over [part], the participants the caller already derived *)
+let core_of t ~trusted ~recsa part =
   Pid.Set.fold
     (fun p acc ->
       let fd_p =
@@ -45,11 +45,12 @@ let core t ~trusted ~recsa =
        shrink *)
     part
 
-let trigger t ~trusted ~recsa reason events =
+let core t ~trusted ~recsa = core_of t ~trusted ~recsa (Recsa.participants recsa ~trusted)
+
+let trigger t ~trusted ~recsa ~part reason events =
   t.attempts <- t.attempts + 1;
   (* the proposed set is FD[i].part — the trusted participants (line 13) *)
-  let proposal = Recsa.participants recsa ~trusted in
-  if Recsa.estab recsa ~trusted proposal then begin
+  if Recsa.estab recsa ~trusted part then begin
     t.triggers <- t.triggers + 1;
     events := Event.Trigger reason :: !events
   end;
@@ -62,7 +63,11 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
   let part = Recsa.participants recsa ~trusted in
   if not (Pid.Set.mem t.ma_self part) then ([], List.rev !events)
   else begin
-    let cur_conf = Recsa.get_config recsa ~trusted in
+    let no_reco = Recsa.no_reco recsa ~trusted in
+    (* getConfig(), without a second noReco() *)
+    let cur_conf =
+      if no_reco then Recsa.chs_config recsa ~trusted else Recsa.config recsa
+    in
     (* line 8: own flags restart every iteration *)
     t.no_maj <- Pid.Map.add t.ma_self false t.no_maj;
     t.need_reconf <- Pid.Map.add t.ma_self false t.need_reconf;
@@ -73,7 +78,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
            && not (Config_value.is_reset prev) ->
       flush_flags t
     | Some _ | None -> ());
-    (if Recsa.no_reco recsa ~trusted then begin
+    (if no_reco then begin
        t.prev_config <- Some cur_conf;
        match Config_value.to_set cur_conf with
        | None -> ()
@@ -82,12 +87,12 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
             paper uses majorities; any intersecting quorum system works) *)
          if not (Q.is_quorum ~config:members trusted) then
            t.no_maj <- Pid.Map.add t.ma_self true t.no_maj;
-         let co = core t ~trusted ~recsa in
+         let co = core_of t ~trusted ~recsa part in
          if
            flag t.no_maj t.ma_self
            && Pid.Set.cardinal co > 1
            && Pid.Set.for_all (fun p -> flag t.no_maj p) co
-         then trigger t ~trusted ~recsa Event.Collapse events
+         then trigger t ~trusted ~recsa ~part Event.Collapse events
          else begin
            (* line 16: prediction-function path *)
            let wants = eval_conf members in
@@ -97,7 +102,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
                (Pid.Set.inter members trusted)
            in
            if wants && Q.is_quorum ~config:members supporters then
-             trigger t ~trusted ~recsa Event.Prediction events
+             trigger t ~trusted ~recsa ~part Event.Prediction events
          end
      end);
     let msg =

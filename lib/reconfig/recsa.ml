@@ -211,70 +211,74 @@ let finish_replacement t events =
   t.sa_all <- false;
   t.sa_allseen <- Pid.Set.empty
 
+(* every participant but us has reported: [views] covers [part \ {self}] *)
+let complete t ~part views =
+  List.length views
+  = Pid.Set.cardinal part - if Pid.Set.mem t.sa_self part then 1 else 0
+
+(* Definition 3.1 type-3: two phase-2 notifications with distinct sets *)
+let phase2_conflict t views =
+  let collect acc (n : Notification.t) =
+    match (n.phase, n.set) with
+    | Notification.P2, Some s ->
+      if List.exists (Intern.set_equal s) acc then acc else s :: acc
+    | _ -> acc
+  in
+  let sets = List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) (collect [] t.sa_prp) views in
+  List.length sets > 1
+
+(* Definition 3.1 type-4: a stable view (every participant reports our
+   trusted set and our part) but the configuration has no live participant *)
+let dead_config t ~trusted ~part views =
+  match t.sa_config with
+  | Config_value.Set s ->
+    Pid.Set.cardinal part > 1
+    && complete t ~part views
+    && List.for_all
+         (fun (_, pv) ->
+           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
+         views
+    && Pid.Set.disjoint s part
+  | Config_value.Not_participant | Config_value.Reset -> false
+
 (* Stale-information tests of Definition 3.1 that are valid in every state
    (configuration disagreement, by contrast, is normal while a replacement
    is mid-flight, so the conflict test lives in the no-notification branch,
-   as in line 26 of the pseudocode). *)
-let stale_check_always t ~part events =
+   as in line 26 of the pseudocode). True iff a reset started. *)
+let stale_check_always t views events =
   (* type-2 (own): an empty configuration set is never legal *)
   let own_empty =
     match t.sa_config with
     | Config_value.Set s -> Pid.Set.is_empty s
     | Config_value.Not_participant | Config_value.Reset -> false
   in
-  (* type-3: two phase-2 notifications with distinct sets *)
-  let phase2_sets =
-    let collect acc (n : Notification.t) =
-      match (n.phase, n.set) with
-      | Notification.P2, Some s ->
-        if List.exists (Intern.set_equal s) acc then acc else s :: acc
-      | _ -> acc
-    in
-    let acc = collect [] t.sa_prp in
-    List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) acc (peer_views t ~part)
-  in
-  let notif_conflict = List.length phase2_sets > 1 in
   if own_empty then begin
     events := Event.Stale 2 :: !events;
-    start_reset t "empty config" events
+    start_reset t "empty config" events;
+    true
   end
-  else if notif_conflict then begin
+  else if phase2_conflict t views then begin
     events := Event.Stale 3 :: !events;
-    start_reset t "conflicting phase-2 notifications" events
+    start_reset t "conflicting phase-2 notifications" events;
+    true
   end
+  else false
 
 (* Stale-information tests that only apply outside replacements. *)
-let stale_check_quiet t ~trusted ~part events =
+let stale_check_quiet t ~trusted ~part views events =
   let values = visible_configs t ~trusted in
-  let conflict = List.length (distinct_sets values) > 1 in
-  (* type-4: stable view but the configuration has no live participant *)
-  let views = peer_views t ~part in
-  let fd_stable =
-    (not (Pid.Set.is_empty part))
-    && Pid.Set.cardinal part > 1
-    && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
-    && List.for_all
-         (fun (_, pv) ->
-           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
-         views
-  in
-  let dead_config =
-    match t.sa_config with
-    | Config_value.Set s -> fd_stable && Pid.Set.is_empty (Pid.Set.inter s part)
-    | Config_value.Not_participant | Config_value.Reset -> false
-  in
-  if conflict then begin
+  if List.length (distinct_sets values) > 1 then begin
     events := Event.Stale 2 :: !events;
     start_reset t "config conflict" events
   end
-  else if dead_config then begin
+  else if dead_config t ~trusted ~part views then begin
     events := Event.Stale 4 :: !events;
     start_reset t "config has no live participant" events
   end
 
-let max_notification t ~part =
+let max_notification t ~part views =
   let own = if Pid.Set.mem t.sa_self part then [ t.sa_prp ] else [] in
-  let received = List.map (fun (_, pv) -> pv.p_prp) (peer_views t ~part) in
+  let received = List.map (fun (_, pv) -> pv.p_prp) views in
   Notification.max_of (own @ received)
 
 (* Brute-force stabilization (line 26): during a reset, wait until every
@@ -298,7 +302,7 @@ let brute_force t ~trusted events =
   end
 
 (* One unison step of the delicate-replacement automaton (line 28). *)
-let delicate t ~part max_ntf events =
+let delicate t ~part views max_ntf events =
   (* A lingering phase-2 notification whose set we already installed is the
      tail of a completed replacement, not a new one. *)
   let already_installed =
@@ -325,7 +329,7 @@ let delicate t ~part max_ntf events =
         (fun (_, pv) ->
           Notification.is_default pv.p_prp
           && Config_value.equal pv.p_config (Config_value.Set s))
-        (peer_views t ~part)
+        views
     in
     if completed then begin
       if not (Config_value.equal t.sa_config (Config_value.Set s)) then begin
@@ -337,9 +341,8 @@ let delicate t ~part max_ntf events =
     end
   | _ -> ());
   if not (Notification.is_default t.sa_prp) then begin
-    let views = peer_views t ~part in
     (* all[i] <- every participant reports and echoes our (part, prp) *)
-    let complete_views = List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part) in
+    let complete_views = complete t ~part views in
     t.sa_all <-
       complete_views
       && List.for_all (fun (_, pv) -> echo_no_all t ~part pv && same t ~part pv) views;
@@ -376,15 +379,18 @@ let tick t ~trusted =
     events := Event.Stale 1 :: !events;
     t.sa_prp <- Notification.default
   end;
-  t.peers <-
-    Pid.Map.map
-      (fun pv ->
-        if Notification.malformed pv.p_prp then begin
-          events := Event.Stale 1 :: !events;
-          { pv with p_prp = Notification.default }
-        end
-        else pv)
-      t.peers;
+  (* rebuilt only when needed: a fresh copy of this long-lived map every
+     tick would all be promoted *)
+  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.p_prp) t.peers then
+    t.peers <-
+      Pid.Map.map
+        (fun pv ->
+          if Notification.malformed pv.p_prp then begin
+            events := Event.Stale 1 :: !events;
+            { pv with p_prp = Notification.default }
+          end
+          else pv)
+        t.peers;
   (* a non-participant observing a reset joins it (brute force includes all
      active processors) *)
   (if Config_value.is_not_participant t.sa_config then
@@ -398,13 +404,19 @@ let tick t ~trusted =
        events := Event.Join_reset :: !events
      end);
   let part = participants t ~trusted in
-  stale_check_always t ~part events;
-  let part = participants t ~trusted in
-  (match max_notification t ~part with
+  let views = peer_views t ~part in
+  (* a reset rewrites the peers' configurations, and with them [part] *)
+  let part, views =
+    if stale_check_always t views events then
+      let part = participants t ~trusted in
+      (part, peer_views t ~part)
+    else (part, views)
+  in
+  (match max_notification t ~part views with
   | None ->
-    stale_check_quiet t ~trusted ~part events;
+    stale_check_quiet t ~trusted ~part views events;
     brute_force t ~trusted events
-  | Some max_ntf -> if is_participant t then delicate t ~part max_ntf events);
+  | Some max_ntf -> if is_participant t then delicate t ~part views max_ntf events);
   List.rev !events
 
 let broadcast t ~trusted =
@@ -501,29 +513,8 @@ let stale_types t ~trusted =
          (function Config_value.Set s -> Pid.Set.is_empty s | _ -> false)
          values
   in
-  let phase2_sets =
-    let collect acc (n : Notification.t) =
-      match (n.phase, n.set) with
-      | Notification.P2, Some s ->
-        if List.exists (Intern.set_equal s) acc then acc else s :: acc
-      | _ -> acc
-    in
-    List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) (collect [] t.sa_prp) views
-  in
-  let type3 = List.length phase2_sets > 1 in
-  let fd_stable =
-    Pid.Set.cardinal part > 1
-    && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
-    && List.for_all
-         (fun (_, pv) ->
-           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
-         views
-  in
-  let type4 =
-    match t.sa_config with
-    | Config_value.Set s -> fd_stable && Pid.Set.is_empty (Pid.Set.inter s part)
-    | Config_value.Not_participant | Config_value.Reset -> false
-  in
+  let type3 = phase2_conflict t views in
+  let type4 = dead_config t ~trusted ~part views in
   List.filter_map
     (fun (present, ty) -> if present then Some ty else None)
     [ (type1, Type1); (type2, Type2); (type3, Type3); (type4, Type4) ]

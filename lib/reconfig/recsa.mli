@@ -75,6 +75,10 @@ val receive : t -> from:Pid.t -> message -> unit
 (** [get_config t ~trusted] — the application-facing configuration view. *)
 val get_config : t -> trusted:Pid.Set.t -> Config_value.t
 
+(** [chs_config t ~trusted] is the configuration [get_config] returns
+    while [no_reco] holds, for a caller that already checked [no_reco]. *)
+val chs_config : t -> trusted:Pid.Set.t -> Config_value.t
+
 (** [no_reco t ~trusted] is [true] iff no reconfiguration is taking place:
     the processor is recognized by its trusted peers, there are no
     configuration conflicts, participant sets have stabilized, no reset is

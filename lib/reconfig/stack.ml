@@ -36,7 +36,7 @@ type scheme_view = {
 module View = struct
   let current_members v =
     if Recsa.no_reco v.v_recsa ~trusted:v.v_trusted then
-      Config_value.to_set (Recsa.get_config v.v_recsa ~trusted:v.v_trusted)
+      Config_value.to_set (Recsa.chs_config v.v_recsa ~trusted:v.v_trusted)
     else None
 
   let participants v = Recsa.participants v.v_recsa ~trusted:v.v_trusted
@@ -171,19 +171,54 @@ let snap_instance ~capacity n ~self ~peer =
 
 (* --- the protocol core, written once against the RUNTIME signature --- *)
 
+(* the [kind] label of [stack.sent] *)
+type send_kind = Snap_k | Sa_k | Ma_k | Join_k | App_k | Heartbeat_k
+
+let send_kind_index = function
+  | Snap_k -> 0
+  | Sa_k -> 1
+  | Ma_k -> 2
+  | Join_k -> 3
+  | App_k -> 4
+  | Heartbeat_k -> 5
+
+let send_kind_label = function
+  | Snap_k -> "snap"
+  | Sa_k -> "sa"
+  | Ma_k -> "ma"
+  | Join_k -> "join"
+  | App_k -> "app"
+  | Heartbeat_k -> "heartbeat"
+
 module Core (R : Runtime.S) = struct
-  let send_counted ctx kind dst m =
-    Telemetry.inc (R.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
+  (* [sent] holds one driver's [stack.sent] handles, one slot per kind,
+     each resolved on the kind's first send so a kind never sent never
+     shows up in the exports *)
+  let send_counted sent ctx kind dst m =
+    let i = send_kind_index kind in
+    let c =
+      match sent.(i) with
+      | Some c -> c
+      | None ->
+        let c =
+          Telemetry.counter (R.telemetry ctx)
+            ~labels:[ ("kind", send_kind_label kind) ]
+            "stack.sent"
+        in
+        sent.(i) <- Some c;
+        c
+    in
+    Telemetry.bump c;
     R.send ctx dst m
 
   (* protocol traffic is held back until the link's handshake completed *)
-  let send_gated ctx n kind dst m =
-    if link_clean n dst then send_counted ctx kind dst m
+  let send_gated sent ctx n kind dst m =
+    if link_clean n dst then send_counted sent ctx kind dst m
 
-  let view_of ctx n =
+  let view_of ctx n ~trusted =
     {
       v_self = R.self ctx;
-      v_trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd);
+      v_trusted = trusted;
       v_recsa = n.sa;
       v_emit = R.emit ctx;
       v_now = R.now ctx;
@@ -192,6 +227,9 @@ module Core (R : Runtime.S) = struct
     }
 
   let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
+    let sent = Array.make 6 None (* one slot per [send_kind] *) in
+    let send_counted = send_counted sent in
+    let send_gated = send_gated sent in
     let init p =
       let participant = Pid.Set.mem p members_set in
       let joiner = not participant in
@@ -225,7 +263,7 @@ module Core (R : Runtime.S) = struct
             (* keep the channel's pipe full: the handshake needs more than
                the round-trip capacity of acknowledgments *)
             for _ = 1 to max 1 (capacity / 2) do
-              send_counted ctx "snap" peer (Snap m)
+              send_counted ctx Snap_k peer (Snap m)
             done
           | None -> ())
         n.snap;
@@ -258,7 +296,7 @@ module Core (R : Runtime.S) = struct
         n.tele_phase <- phase
       end;
       let sa_msgs = Recsa.broadcast n.sa ~trusted in
-      List.iter (fun (dst, m) -> send_gated ctx n "sa" dst (Sa m)) sa_msgs;
+      List.iter (fun (dst, m) -> send_gated ctx n Sa_k dst (Sa m)) sa_msgs;
       (* recMA *)
       let ma_msgs, ma_events =
         Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
@@ -266,7 +304,7 @@ module Core (R : Runtime.S) = struct
           ()
       in
       emit_all ma_events;
-      List.iter (fun (dst, m) -> send_gated ctx n "ma" dst (Ma m)) ma_msgs;
+      List.iter (fun (dst, m) -> send_gated ctx n Ma_k dst (Ma m)) ma_msgs;
       (* joining mechanism (joiner side) *)
       let join_msgs, join_events =
         Join.tick n.join ~quorum ~trusted ~recsa:n.sa
@@ -276,22 +314,21 @@ module Core (R : Runtime.S) = struct
           ()
       in
       emit_all join_events;
-      List.iter (fun (dst, m) -> send_gated ctx n "join" dst (Join m)) join_msgs;
+      List.iter (fun (dst, m) -> send_gated ctx n Join_k dst (Join m)) join_msgs;
       (* application plugin *)
-      let app', app_msgs = hooks.plugin.p_tick (view_of ctx n) n.app in
+      let app', app_msgs = hooks.plugin.p_tick (view_of ctx n ~trusted) n.app in
       n.app <- app';
-      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_msgs;
+      List.iter (fun (dst, m) -> send_gated ctx n App_k dst (App m)) app_msgs;
       (* heartbeats (the data-link token) to every known processor not already
-         covered by a recSA broadcast *)
-      let covered = List.fold_left (fun acc (dst, _) -> Pid.Set.add dst acc) Pid.Set.empty sa_msgs in
-      let targets =
-        Pid.Set.union n.seeds (Detector.Theta_fd.known n.fd)
-        |> Pid.Set.remove self
+         covered by a recSA broadcast, which goes to every trusted peer *)
+      let broadcast = sa_msgs <> [] in
+      let heartbeat dst =
+        if not (Pid.equal dst self || (broadcast && Pid.Set.mem dst trusted)) then
+          send_gated ctx n Heartbeat_k dst Heartbeat
       in
-      Pid.Set.iter
-        (fun dst ->
-          if not (Pid.Set.mem dst covered) then send_gated ctx n "heartbeat" dst Heartbeat)
-        targets;
+      if Pid.Set.for_all (Detector.Theta_fd.mem_known n.fd) n.seeds then
+        Detector.Theta_fd.iter_known n.fd heartbeat
+      else Pid.Set.iter heartbeat (Pid.Set.union n.seeds (Detector.Theta_fd.known n.fd));
       n
     in
     let on_message ctx from msg n =
@@ -300,7 +337,7 @@ module Core (R : Runtime.S) = struct
         let s = snap_instance ~capacity n ~self:(R.self ctx) ~peer:from in
         let reply, completed = Datalink.Snap_link.on_msg s m in
         (match reply with
-        | Some r -> send_counted ctx "snap" from (Snap r)
+        | Some r -> send_counted ctx Snap_k from (Snap r)
         | None -> ());
         (match completed with
         | `Completed -> R.emit ctx "snap.clean" (Pid.to_string from)
@@ -320,14 +357,15 @@ module Core (R : Runtime.S) = struct
              ~pass_query:(fun joiner ->
                hooks.pass_query ~self:(R.self ctx) ~joiner)
          with
-        | Some reply -> send_gated ctx n "join" from (Join reply)
+        | Some reply -> send_gated ctx n Join_k from (Join reply)
         | None -> ())
       | Join (Join.Join_reply { pass; app }) ->
         Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
       | App m ->
-        let app', out = hooks.plugin.p_recv (view_of ctx n) ~from m n.app in
+        let trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd) in
+        let app', out = hooks.plugin.p_recv (view_of ctx n ~trusted) ~from m n.app in
         n.app <- app';
-        List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) out);
+        List.iter (fun (dst, m) -> send_gated ctx n App_k dst (App m)) out);
       n
     in
     { Runtime.d_init = init; d_timer = on_timer; d_recv = on_message }

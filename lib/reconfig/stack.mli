@@ -162,7 +162,8 @@ module Core (R : Runtime.S) : sig
     Runtime.driver
   (** [directory] is read at node-init time: a node created after system
       start treats the processors then present as its seeds and runs the
-      cleaning handshake against them. *)
+      cleaning handshake against them. A driver serves one host: it keeps
+      that host's [stack.sent] counter handles. *)
 end
 
 (** [quiescent_of nodes] — {!SYSTEM.quiescent} over any [(pid, node_state)]

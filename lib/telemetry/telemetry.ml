@@ -140,8 +140,15 @@ let find_series table ~default name labels =
 
 (* counters *)
 
-let add t ?(labels = []) name n =
-  let s = find_series t.t_counters ~default:(fun () -> 0) name labels in
+type counter = int series
+
+let counter t ?(labels = []) name =
+  find_series t.t_counters ~default:(fun () -> 0) name labels
+
+let bump c = c.s_value <- c.s_value + 1
+
+let add t ?labels name n =
+  let s = counter t ?labels name in
   s.s_value <- s.s_value + n
 
 let inc t ?labels name = add t ?labels name 1

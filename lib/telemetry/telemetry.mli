@@ -85,6 +85,19 @@ val add : t -> ?labels:labels -> string -> int -> unit
 (** 0 if never touched. *)
 val counter_value : t -> ?labels:labels -> string -> int
 
+(** A counter series resolved once, for hot paths: [bump] costs one field
+    update, where [inc] sorts the labels and hashes a key on every call. *)
+type counter
+
+(** [counter t ~labels name] resolves (and, like [declare_counter],
+    creates) the series [(name, labels)]. Resolve lazily, on the first
+    event, if a series that never fires must stay out of the exports. A
+    handle outlives neither [clear] nor its registry. *)
+val counter : t -> ?labels:labels -> string -> counter
+
+(** [bump c] is [inc] on the handle's series. *)
+val bump : counter -> unit
+
 val set_gauge : t -> ?labels:labels -> string -> float -> unit
 val gauge_value : t -> ?labels:labels -> string -> float option
 

@@ -85,6 +85,107 @@ let prop_trusted_subset_of_known =
            events;
          Pid.Set.subset (FD.trusted fd) (Pid.Set.add 0 (FD.known fd))))
 
+(* The detector as it was first written, kept as a reference model: self is
+   restamped on every heartbeat (two map updates) and the vector is ranked
+   with polymorphic [compare]. The detector proper must agree with it on
+   every observable. *)
+module Reference = struct
+  type t = { n_bound : int; theta : int; self : Pid.t; mutable epoch : int; mutable last : int Pid.Map.t }
+
+  let create ~n_bound ~theta ~self =
+    { n_bound; theta; self; epoch = 0; last = Pid.Map.singleton self 0 }
+
+  let heartbeat t p =
+    t.epoch <- t.epoch + 1;
+    t.last <- Pid.Map.add p t.epoch (Pid.Map.add t.self t.epoch t.last)
+
+  let forget t p = t.last <- Pid.Map.remove p t.last
+
+  let corrupt t assoc =
+    t.last <- List.fold_left (fun m (p, c) -> Pid.Map.add p (t.epoch - c) m) Pid.Map.empty assoc;
+    t.last <- Pid.Map.add t.self t.epoch t.last
+
+  let count t p = Option.map (fun l -> t.epoch - l) (Pid.Map.find_opt p t.last)
+
+  let trusted t =
+    let ranked =
+      Pid.Map.bindings t.last |> List.map (fun (p, l) -> (t.epoch - l, p)) |> List.sort compare
+    in
+    let known_count = max 1 (Pid.Map.cardinal t.last) in
+    let rec walk prev taken acc = function
+      | [] -> acc
+      | (c, p) :: rest ->
+        if taken >= t.n_bound || c > t.theta * (prev + known_count) then acc
+        else walk c (taken + 1) (p :: acc) rest
+    in
+    let prefix =
+      match ranked with [] -> [ t.self ] | (c0, p0) :: rest -> walk c0 1 [ p0 ] rest
+    in
+    Pid.Set.add t.self (Pid.set_of_list prefix)
+end
+
+type op = Beat of Pid.t | Forget of Pid.t | Corrupt of (Pid.t * int) list
+
+let pp_op fmt = function
+  | Beat p -> Format.fprintf fmt "beat %d" p
+  | Forget p -> Format.fprintf fmt "forget %d" p
+  | Corrupt l ->
+    Format.fprintf fmt "corrupt [%s]"
+      (String.concat "; " (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) l))
+
+(* self is 0; [forget] never names self, whose forgetting is a no-op that
+   the reference model does not share *)
+let arb_ops =
+  let open QCheck.Gen in
+  let pid = int_range 0 9 in
+  let op =
+    frequency
+      [
+        (12, map (fun p -> Beat p) pid);
+        (1, map (fun p -> Forget p) (int_range 1 9));
+        (1, map (fun l -> Corrupt l) (small_list (pair pid (int_range 0 200))));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ((n_bound, theta), ops) ->
+      Format.asprintf "n_bound=%d theta=%d@ %a" n_bound theta
+        (Format.pp_print_list pp_op) ops)
+    (pair (pair (int_range 1 12) (int_range 2 6)) (list_size (int_range 0 300) op))
+
+let prop_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"self count is 0 and trusted matches the reference model" arb_ops
+       (fun ((n_bound, theta), ops) ->
+         let fd = FD.create ~n_bound ~theta ~self:0 () in
+         let r = Reference.create ~n_bound ~theta ~self:0 in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Beat p -> FD.heartbeat fd p; Reference.heartbeat r p
+             | Forget p -> FD.forget fd p; Reference.forget r p
+             | Corrupt l -> FD.corrupt fd l; Reference.corrupt r l);
+             FD.count fd 0 = Some 0
+             && Pid.Set.equal (FD.trusted fd) (Reference.trusted r)
+             && List.for_all (fun p -> FD.count fd p = Reference.count r p) (List.init 10 Fun.id))
+           ops))
+
+let test_forget_self_noop () =
+  let fd = FD.create ~n_bound:10 ~self:0 () in
+  feed fd [ 1; 2 ] 3;
+  FD.forget fd 0;
+  Alcotest.(check (option int)) "self count" (Some 0) (FD.count fd 0);
+  Alcotest.(check bool) "self known" true (FD.mem_known fd 0)
+
+let test_iter_known () =
+  let fd = FD.create ~n_bound:10 ~self:3 () in
+  feed fd [ 7; 1; 5 ] 1;
+  let seen = ref [] in
+  FD.iter_known fd (fun p -> seen := p :: !seen);
+  Alcotest.(check (list int)) "ascending known" (Pid.Set.elements (FD.known fd)) (List.rev !seen);
+  Alcotest.(check bool) "mem known" true (FD.mem_known fd 5);
+  Alcotest.(check bool) "not known" false (FD.mem_known fd 2)
+
 let suites =
   [
     ( "detector",
@@ -98,5 +199,8 @@ let suites =
         Alcotest.test_case "rejoin restores trust" `Quick test_rejoining_heartbeat_restores_trust;
         Alcotest.test_case "known and forget" `Quick test_known_and_forget;
         prop_trusted_subset_of_known;
+        prop_matches_reference;
+        Alcotest.test_case "forget self is a no-op" `Quick test_forget_self_noop;
+        Alcotest.test_case "iter known" `Quick test_iter_known;
       ] );
   ]

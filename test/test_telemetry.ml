@@ -104,6 +104,33 @@ let test_labels () =
     (Telemetry.counter_value t ~labels:[ ("a", "other") ] "x");
   Alcotest.(check int) "unlabeled untouched" 0 (Telemetry.counter_value t "x")
 
+let test_counter_handles () =
+  let t = Telemetry.create () in
+  let c = Telemetry.counter t ~labels:[ ("b", "2"); ("a", "1") ] "x" in
+  Telemetry.bump c;
+  Telemetry.inc t ~labels:[ ("a", "1"); ("b", "2") ] "x";
+  Telemetry.bump c;
+  Alcotest.(check int) "handle and inc share one series" 3
+    (Telemetry.counter_value t ~labels:[ ("b", "2"); ("a", "1") ] "x");
+  Alcotest.(check int) "one row" 1 (List.length (Telemetry.counters t))
+
+(* the stack resolves a [stack.sent] handle on a kind's first send only:
+   members of a steady system never send a join request, so that series
+   never appears *)
+let test_sent_resolved_lazily () =
+  let sc = Reconfig.Scenario.make ~seed:4 ~n_bound:8 ~members:[ 0; 1; 2; 3 ] () in
+  let sys = Reconfig.Stack.of_scenario ~hooks:Reconfig.Stack.unit_hooks sc in
+  Reconfig.Stack.run_rounds sys 10;
+  let tele = Engine.telemetry (Reconfig.Stack.engine sys) in
+  let sent =
+    List.filter_map
+      (fun (name, labels, v) ->
+        if String.equal name "stack.sent" then Some (List.assoc "kind" labels, v) else None)
+      (Telemetry.counters tele)
+  in
+  Alcotest.(check bool) "recSA traffic counted" true (List.assoc "sa" sent > 0);
+  Alcotest.(check bool) "no join row" false (List.mem_assoc "join" sent)
+
 let test_declarations () =
   let t = Telemetry.create () in
   Telemetry.declare_counter t ~labels:[ ("type", "1") ] "conflicts";
@@ -314,6 +341,8 @@ let suites =
         Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
         Alcotest.test_case "quantile accuracy" `Quick test_quantile_accuracy;
         Alcotest.test_case "labels" `Quick test_labels;
+        Alcotest.test_case "counter handles" `Quick test_counter_handles;
+        Alcotest.test_case "stack.sent resolved lazily" `Quick test_sent_resolved_lazily;
         Alcotest.test_case "declarations" `Quick test_declarations;
         Alcotest.test_case "span basic" `Quick test_span_basic;
         Alcotest.test_case "span mismatches" `Quick test_span_mismatches;
