@@ -33,16 +33,16 @@ let bench_rng =
   let rng = Sim.Rng.create 1 in
   Test.make ~name:"rng.int" (Staged.stage (fun () -> Sim.Rng.int rng 1000))
 
-let bench_heap =
+let bench_event_queue =
   let rng = Sim.Rng.create 2 in
-  Test.make ~name:"heap.push_pop_64"
+  Test.make ~name:"event_queue.push_pop_64"
     (Staged.stage (fun () ->
-         let h = Sim.Heap.create Int.compare in
-         for _ = 1 to 64 do
-           Sim.Heap.push h (Sim.Rng.int rng 10_000)
+         let q = Sim.Event_queue.create () in
+         for i = 1 to 64 do
+           Sim.Event_queue.push q ~at:(float_of_int (Sim.Rng.int rng 10_000)) i
          done;
-         while not (Sim.Heap.is_empty h) do
-           ignore (Sim.Heap.pop h)
+         while not (Sim.Event_queue.is_empty q) do
+           ignore (Sim.Event_queue.pop q)
          done))
 
 let bench_channel =
@@ -53,8 +53,8 @@ let bench_channel =
          for i = 1 to 16 do
            Sim.Channel.send ch rng i
          done;
-         while Sim.Channel.take ch rng ~reorder:true <> None do
-           ()
+         while not (Sim.Channel.is_empty ch) do
+           ignore (Sim.Channel.take ch rng ~reorder:true)
          done))
 
 let bench_fd =
@@ -169,7 +169,7 @@ let micro_tests () =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
       bench_rng;
-      bench_heap;
+      bench_event_queue;
       bench_channel;
       bench_fd;
       bench_notification_max;

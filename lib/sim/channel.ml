@@ -81,13 +81,11 @@ let remove_nth t n =
   x
 
 let take t rng ~reorder =
-  if t.len = 0 then None
-  else begin
-    let idx = if reorder then Rng.int rng t.len else 0 in
-    let pkt = remove_nth t idx in
-    t.st.delivered <- t.st.delivered + 1;
-    Some pkt
-  end
+  if t.len = 0 then invalid_arg "Channel.take: empty channel";
+  let idx = if reorder then Rng.int rng t.len else 0 in
+  let pkt = remove_nth t idx in
+  t.st.delivered <- t.st.delivered + 1;
+  pkt
 
 let duplicate_head t =
   if t.len > 0 && t.len < t.cap then begin

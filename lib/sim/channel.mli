@@ -33,9 +33,11 @@ val stats : 'a t -> stats
     the new packet is dropped or it replaces a random queued packet. *)
 val send : 'a t -> Rng.t -> 'a -> unit
 
-(** [take t rng ~reorder] removes one packet for delivery: the head, or a
-    uniformly random queued packet when [reorder]. [None] if empty. *)
-val take : 'a t -> Rng.t -> reorder:bool -> 'a option
+(** [take t rng ~reorder] removes one packet for delivery and returns it:
+    the head, or a uniformly random queued packet when [reorder]. Requires
+    [not (is_empty t)].
+    @raise Invalid_argument if [t] is empty. *)
+val take : 'a t -> Rng.t -> reorder:bool -> 'a
 
 (** [duplicate_head t] re-enqueues a copy of the head packet if capacity
     allows, counting it as a duplication. *)

@@ -6,7 +6,12 @@ type 'm ctx = {
   mutable ctx_self : Pid.t;
   mutable ctx_time : float;
   ctx_rng : Rng.t;
-  mutable ctx_outbox : (Pid.t * 'm) list; (* reversed *)
+  (* the step's sends, in send order: the first [ctx_sends] entries of the
+     two buffers; they only grow, and stale entries past [ctx_sends] are
+     overwritten by later steps *)
+  mutable ctx_dst : Pid.t array;
+  mutable ctx_msg : 'm array;
+  mutable ctx_sends : int;
   ctx_trace : Trace.t;
   ctx_telemetry : Telemetry.t;
 }
@@ -14,7 +19,24 @@ type 'm ctx = {
 let self c = c.ctx_self
 let now c = c.ctx_time
 let rng_of_ctx c = c.ctx_rng
-let send c dst msg = c.ctx_outbox <- (dst, msg) :: c.ctx_outbox
+
+(* [msg] fills the new message slots: ['m] has no manifest dummy value *)
+let grow_outbox c msg =
+  let n = c.ctx_sends in
+  let cap = max 16 (2 * n) in
+  let dst = Array.make cap 0 in
+  Array.blit c.ctx_dst 0 dst 0 n;
+  let msgs = Array.make cap msg in
+  Array.blit c.ctx_msg 0 msgs 0 n;
+  c.ctx_dst <- dst;
+  c.ctx_msg <- msgs
+
+let send c dst msg =
+  let n = c.ctx_sends in
+  if n = Array.length c.ctx_dst then grow_outbox c msg;
+  c.ctx_dst.(n) <- dst;
+  c.ctx_msg.(n) <- msg;
+  c.ctx_sends <- n + 1
 
 let emit c tag detail =
   Trace.record c.ctx_trace ~time:c.ctx_time ~node:c.ctx_self ~tag detail
@@ -43,8 +65,6 @@ let slot_fast_limit = 1 lsl 16
 
 (* An event's kind packs into one int: bit 0 tags timer (0) vs delivery
    (1); a timer carries the node's slot, a delivery both endpoint slots. *)
-type event = { at : float; seq : int; kind : int }
-
 let timer_kind slot = slot lsl 1
 let deliver_kind ~src_slot ~dst_slot = (((src_slot lsl slot_bits) lor dst_slot) lsl 1) lor 1
 
@@ -93,9 +113,8 @@ type ('s, 'm) t = {
      draw sequence is exactly the profile-free one *)
   mutable profiles : link_profile option array array;
   mutable mangler : (Rng.t -> 'm -> 'm) option;
-  queue : event Heap.t;
+  queue : Event_queue.t;
   mutable e_time : float;
-  mutable e_seq : int;
   mutable e_steps : int;
   (* cached view of [rounds]: the minimum tick count over live nodes and how
      many live nodes sit at that minimum, so [rounds] is O(1) and the O(n)
@@ -112,21 +131,15 @@ type ('s, 'm) t = {
   e_telemetry : Telemetry.t;
 }
 
-let compare_event a b =
-  let c = Float.compare a.at b.at in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let push_event t ~at kind =
-  t.e_seq <- t.e_seq + 1;
-  Heap.push t.queue { at; seq = t.e_seq; kind }
-
-let uniform rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
+let[@inline] uniform rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
 
 let schedule_timer t slot =
-  push_event t ~at:(t.e_time +. uniform t.e_rng t.timer_min t.timer_max) (timer_kind slot)
+  Event_queue.push t.queue
+    ~at:(t.e_time +. uniform t.e_rng t.timer_min t.timer_max)
+    (timer_kind slot)
 
 let schedule_delivery t ~src_slot ~dst_slot =
-  push_event t
+  Event_queue.push t.queue
     ~at:(t.e_time +. uniform t.e_rng t.min_delay t.max_delay)
     (deliver_kind ~src_slot ~dst_slot)
 
@@ -240,9 +253,8 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
       blocked = Array.make 16 [||];
       profiles = Array.make 16 [||];
       mangler = None;
-      queue = Heap.create compare_event;
+      queue = Event_queue.create ();
       e_time = 0.0;
-      e_seq = 0;
       e_steps = 0;
       e_live = 0;
       e_min_ticks = 0;
@@ -254,7 +266,9 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
           ctx_self = 0;
           ctx_time = 0.0;
           ctx_rng = e_rng;
-          ctx_outbox = [];
+          ctx_dst = [||];
+          ctx_msg = [||];
+          ctx_sends = 0;
           ctx_trace = e_trace;
           ctx_telemetry = e_telemetry;
         };
@@ -435,28 +449,41 @@ let clear_link_profiles t =
 let set_mangler t f = t.mangler <- f
 
 let flush_outbox t ~src_slot ctx =
-  List.iter
-    (fun (dst, msg) ->
-      let dst_slot = ensure_slot t dst in
-      let ch = channel_of_slots t src_slot dst_slot in
-      if t.blocked.(src_slot).(dst_slot) then begin
-        let st = Channel.stats ch in
-        st.Channel.dropped <- st.Channel.dropped + 1
-      end
-      else begin
-        Channel.send ch t.e_rng msg;
-        (* duplication: occasionally schedule an extra delivery attempt; a
-           link profile overrides the rate but spends the same single draw *)
-        let dup =
-          match t.profiles.(src_slot).(dst_slot) with
-          | None -> t.dup
-          | Some p -> p.lp_dup
-        in
-        if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
-        schedule_delivery t ~src_slot ~dst_slot
-      end)
-    (List.rev ctx.ctx_outbox);
-  ctx.ctx_outbox <- []
+  for i = 0 to ctx.ctx_sends - 1 do
+    let dst_slot = ensure_slot t ctx.ctx_dst.(i) in
+    let ch = channel_of_slots t src_slot dst_slot in
+    if t.blocked.(src_slot).(dst_slot) then begin
+      let st = Channel.stats ch in
+      st.Channel.dropped <- st.Channel.dropped + 1
+    end
+    else begin
+      Channel.send ch t.e_rng ctx.ctx_msg.(i);
+      (* duplication: occasionally schedule an extra delivery attempt; a
+         link profile overrides the rate but spends the same single draw.
+         Each branch draws itself: a rate joined from both would be an
+         unboxed float, boxed afresh for the call. *)
+      let dup =
+        match t.profiles.(src_slot).(dst_slot) with
+        | None -> Rng.chance t.e_rng t.dup
+        | Some p -> Rng.chance t.e_rng p.lp_dup
+      in
+      if dup then Channel.duplicate_head ch;
+      schedule_delivery t ~src_slot ~dst_slot
+    end
+  done;
+  ctx.ctx_sends <- 0
+
+let start_step t n =
+  let ctx = t.scratch in
+  ctx.ctx_self <- n.n_pid;
+  ctx.ctx_time <- t.e_time;
+  ctx.ctx_sends <- 0;
+  ctx
+
+let deliver t n ~src_slot msg =
+  let ctx = start_step t n in
+  n.n_state <- t.behavior.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
+  flush_outbox t ~src_slot:n.n_slot ctx
 
 let exec_step t kind =
   if kind land 1 = 0 then begin
@@ -466,10 +493,7 @@ let exec_step t kind =
     | None -> ()
     | Some n ->
       if not n.n_crashed then begin
-        let ctx = t.scratch in
-        ctx.ctx_self <- n.n_pid;
-        ctx.ctx_time <- t.e_time;
-        ctx.ctx_outbox <- [];
+        let ctx = start_step t n in
         n.n_state <- t.behavior.on_timer ctx n.n_state;
         note_tick t n;
         flush_outbox t ~src_slot:slot ctx;
@@ -487,44 +511,38 @@ let exec_step t kind =
       if not n.n_crashed then begin
         let ch = channel_of_slots t src_slot dst_slot in
         let profile = t.profiles.(src_slot).(dst_slot) in
-        let loss = match profile with None -> t.loss | Some p -> p.lp_drop in
         if t.blocked.(src_slot).(dst_slot) then Channel.drop_one ch t.e_rng
-        else if Rng.chance t.e_rng loss then Channel.drop_one ch t.e_rng
-        else
-          match Channel.take ch t.e_rng ~reorder:t.reorder with
-          | None -> ()
-          | Some msg ->
-            (* "bit flips": a profiled link occasionally mangles the packet
-               through the installed mangler; without a mangler a flipped
-               packet is unparseable and counts as dropped. Profile-free
-               links spend no extra draw here. *)
-            let deliver msg =
-              let ctx = t.scratch in
-              ctx.ctx_self <- n.n_pid;
-              ctx.ctx_time <- t.e_time;
-              ctx.ctx_outbox <- [];
-              n.n_state <-
-                t.behavior.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
-              flush_outbox t ~src_slot:dst_slot ctx
-            in
-            (match profile with
-            | Some p when p.lp_flip > 0.0 && Rng.chance t.e_rng p.lp_flip -> (
-              match t.mangler with
-              | Some f -> deliver (f t.e_rng msg)
-              | None ->
-                let st = Channel.stats ch in
-                st.Channel.dropped <- st.Channel.dropped + 1)
-            | _ -> deliver msg)
+        else if
+          match profile with
+          | None -> Rng.chance t.e_rng t.loss
+          | Some p -> Rng.chance t.e_rng p.lp_drop
+        then Channel.drop_one ch t.e_rng
+        else if not (Channel.is_empty ch) then begin
+          let msg = Channel.take ch t.e_rng ~reorder:t.reorder in
+          (* "bit flips": a profiled link occasionally mangles the packet
+             through the installed mangler; without a mangler a flipped
+             packet is unparseable and counts as dropped. Profile-free
+             links spend no extra draw here. *)
+          match profile with
+          | Some p when p.lp_flip > 0.0 && Rng.chance t.e_rng p.lp_flip -> (
+            match t.mangler with
+            | Some f -> deliver t n ~src_slot (f t.e_rng msg)
+            | None ->
+              let st = Channel.stats ch in
+              st.Channel.dropped <- st.Channel.dropped + 1)
+          | _ -> deliver t n ~src_slot msg
+        end
       end
   end
 
 let step t =
-  if Heap.is_empty t.queue then false
+  if Event_queue.is_empty t.queue then false
   else begin
-    let ev = Heap.pop t.queue in
-    t.e_time <- Float.max t.e_time ev.at;
+    let at = Event_queue.min_at t.queue in
+    let kind = Event_queue.pop t.queue in
+    t.e_time <- Float.max t.e_time at;
     t.e_steps <- t.e_steps + 1;
-    exec_step t ev.kind;
+    exec_step t kind;
     true
   end
 

@@ -20,15 +20,15 @@ let drive_token ~seed ~capacity ~loss ~steps sender receiver pred =
       (* sender retransmits *)
       Channel.send to_recv rng (TL.Sender.on_tick sender);
       (* receiver drains, acks *)
-      (match Channel.take to_recv rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> (
-        let _, ack = TL.Receiver.on_msg receiver m in
-        match ack with Some a -> Channel.send to_send rng a | None -> ())
-      | Some _ | None -> ());
+      (if not (Channel.is_empty to_recv) then
+         let m = Channel.take to_recv rng ~reorder:true in
+         if not (Rng.chance rng loss) then
+           let _, ack = TL.Receiver.on_msg receiver m in
+           match ack with Some a -> Channel.send to_send rng a | None -> ());
       (* sender drains acks *)
-      (match Channel.take to_send rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> ignore (TL.Sender.on_msg sender m)
-      | Some _ | None -> ());
+      (if not (Channel.is_empty to_send) then
+         let m = Channel.take to_send rng ~reorder:true in
+         if not (Rng.chance rng loss) then ignore (TL.Sender.on_msg sender m));
       go (n - 1)
     end
   in
@@ -94,14 +94,14 @@ let test_snap_link_completes () =
     else begin
       (match SL.on_tick a with Some m -> Channel.send ab rng m | None -> ());
       (match SL.on_tick b with Some m -> Channel.send ba rng m | None -> ());
-      (match Channel.take ab rng ~reorder:true with
-      | Some m -> (
-        match SL.on_msg b m with Some reply, _ -> Channel.send ba rng reply | None, _ -> ())
-      | None -> ());
-      (match Channel.take ba rng ~reorder:true with
-      | Some m -> (
-        match SL.on_msg a m with Some reply, _ -> Channel.send ab rng reply | None, _ -> ())
-      | None -> ());
+      (if not (Channel.is_empty ab) then
+         match SL.on_msg b (Channel.take ab rng ~reorder:true) with
+         | Some reply, _ -> Channel.send ba rng reply
+         | None, _ -> ());
+      (if not (Channel.is_empty ba) then
+         match SL.on_msg a (Channel.take ba rng ~reorder:true) with
+         | Some reply, _ -> Channel.send ab rng reply
+         | None, _ -> ());
       if SL.phase a = SL.Clean_done && SL.phase b = SL.Clean_done then ()
       else go (n - 1)
     end
@@ -138,14 +138,14 @@ let drive_fifo ~seed ~capacity ~loss ~steps link pred =
     else if n = 0 then false
     else begin
       Channel.send fwd rng (FL.sender_tick link);
-      (match Channel.take fwd rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> (
-        let _, ack = FL.receiver_on_msg link m in
-        match ack with Some a -> Channel.send back rng a | None -> ())
-      | Some _ | None -> ());
-      (match Channel.take back rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> FL.sender_on_msg link m
-      | Some _ | None -> ());
+      (if not (Channel.is_empty fwd) then
+         let m = Channel.take fwd rng ~reorder:true in
+         if not (Rng.chance rng loss) then
+           let _, ack = FL.receiver_on_msg link m in
+           match ack with Some a -> Channel.send back rng a | None -> ());
+      (if not (Channel.is_empty back) then
+         let m = Channel.take back rng ~reorder:true in
+         if not (Rng.chance rng loss) then FL.sender_on_msg link m);
       go (n - 1)
     end
   in

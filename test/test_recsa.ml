@@ -472,7 +472,7 @@ let prop_channel_stats_conserved =
       let ch = Channel.create ~capacity:5 in
       for i = 1 to ops do
         if Rng.bool rng then Channel.send ch rng i
-        else ignore (Channel.take ch rng ~reorder:true)
+        else if not (Channel.is_empty ch) then ignore (Channel.take ch rng ~reorder:true)
       done;
       let st = Channel.stats ch in
       st.Channel.sent

@@ -1,4 +1,4 @@
-(* Tests for the simulation kernel: pids, rng, heap, channel, trace,
+(* Tests for the simulation kernel: pids, rng, event queue, channel, trace,
    engine. *)
 
 open Sim
@@ -59,28 +59,164 @@ let test_rng_chance_extremes () =
     Alcotest.(check bool) "p=0 never" false (Rng.chance r 0.0)
   done
 
-(* --- Heap --- *)
+(* The first outputs of every draw at seeds 7 and 42, captured from the
+   record-based splitmix64 generator this one replaced. Seeded runs depend
+   on the exact stream, so any change to it must show up here. *)
+type rng_pin = {
+  pin_int : int list;  (** [Rng.int r 1_000_000_007] from a fresh generator *)
+  pin_float : float list;
+  pin_bool : bool list;
+  pin_bits : int64 list;
+  pin_split : int64 list;
+      (** 16 [bits64] of [split] of a fresh generator, then 4 of the parent *)
+  pin_copy : int64 list;  (** 16 [bits64] of a [copy] taken after 5 draws *)
+}
 
-let test_heap_sorts () =
-  let h = Heap.create Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc) in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
+let rng_pins =
+  [
+    ( 7,
+      {
+        pin_int =
+          [ 128427146; 353689766; 855910128; 20941459; 754576360; 733039805; 107891642;
+            234271554; 974465905; 333818703; 870880944; 366514466; 9145780; 938849605;
+            597220120; 556042007 ];
+        pin_float =
+          [ 0x1.0c77123e98157p-1; 0x1.3563ef4a0babcp-2; 0x1.e1ca420e19806p-1;
+            0x1.c436a0686dd2fp-1; 0x1.53ced9ff082a5p-1; 0x1.60e097496b38p-2;
+            0x1.980a57f430be8p-2; 0x1.359ae713428abp-1; 0x1.9f6fe141e86bcp-1;
+            0x1.6650ef5667a58p-4; 0x1.d327c95c6cbp-1; 0x1.5c87d83edafc8p-3;
+            0x1.fcf2f9f0ec9f7p-1; 0x1.2561e1bfbdd69p-1; 0x1.03e46fc5851f6p-2;
+            0x1.9a58e8997d2e2p-1 ];
+        pin_bool =
+          [ true; true; false; true; true; false; false; false; false; false; false; true;
+            false; false; true; true ];
+        pin_bits =
+          [ 0x863b891f4c0abd4fL; 0x4d58fbd282eaf415L; 0xf0e521070cc03750L;
+            0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
+            0x660295fd0c2fa166L; 0x9acd7389a1455c90L; 0xcfb7f0a0f435e0e6L;
+            0x16650ef5667a5bc0L; 0xe993e4ae36580724L; 0x2b90fb07db5f92c9L;
+            0xfe797cf8764fbb76L; 0x92b0f0dfdeeb4d50L; 0x40f91bf16147d9d9L;
+            0xcd2c744cbe97132bL ];
+        pin_split =
+          [ 0xbc5c680bc83c6952L; 0xedbffbd62e8fa50eL; 0x8c58a9e76ab70dfbL;
+            0x8ac4be70d4c285e0L; 0x2a66128a7a87d6e4L; 0x429269f5a505bd45L;
+            0x6847efdfc8f61ee5L; 0x9922dd2235ca05c6L; 0xe8d82a6748a4a72dL;
+            0xf1259ecfc97fc444L; 0x5b52f2ec3711bf0aL; 0x59b54126e78145cL;
+            0xd4953212d9204f32L; 0x542429d394bd9023L; 0xb53d812f43f6ce7bL;
+            0xca5efc5fdd8441ebL; 0x4d58fbd282eaf415L; 0xf0e521070cc03750L;
+            0xe21b503436e97f5bL; 0xa9e76cff841529f5L ];
+        pin_copy =
+          [ 0x583825d25ace04f8L; 0x660295fd0c2fa166L; 0x9acd7389a1455c90L;
+            0xcfb7f0a0f435e0e6L; 0x16650ef5667a5bc0L; 0xe993e4ae36580724L;
+            0x2b90fb07db5f92c9L; 0xfe797cf8764fbb76L; 0x92b0f0dfdeeb4d50L;
+            0x40f91bf16147d9d9L; 0xcd2c744cbe97132bL; 0xbe96e7d756b2c642L;
+            0xfcc0b41fab6eb199L; 0x445cee5fef8b6e4eL; 0x2e94291eca46f5aL;
+            0x89006ffa71280960L ];
+      } );
+    ( 42,
+      {
+        pin_int =
+          [ 296285241; 651164127; 746698345; 969961882; 513955454; 830787710; 68281078;
+            720910415; 614241470; 47234252; 153059305; 534649322; 980854083; 326366579;
+            464692092; 38827289 ];
+        pin_float =
+          [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+            0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+            0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+            0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+            0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+            0x1.b53d1af09b619p-1 ];
+        pin_bool =
+          [ true; true; true; false; true; true; true; false; true; true; false; false;
+            false; false; false; true ];
+        pin_bits =
+          [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+            0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+            0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L; 0xc2bc249e28760ccdL;
+            0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L; 0xe2df09f8ccf26f14L;
+            0xe664fb166d3dc14cL; 0x1494766cf71b64b6L; 0x9b78fbf46485568L;
+            0xda9e8d784db0c8f7L ];
+        pin_split =
+          [ 0x5599b3e06d073327L; 0xd6171d07a31128dfL; 0xed057ba08584c10bL;
+            0x9ea45beebee33b1cL; 0xb0d03117ca5e86c7L; 0x1fee6a4909479ccfL;
+            0xede4bcce07480405L; 0x6b330122e9c444dbL; 0xaa673561b50eddcaL;
+            0xab5322ea97c1f41bL; 0x906af08d9ac2e9deL; 0xc6f581110d62036aL;
+            0xc203fe6568f1ba63L; 0xd8fbb83208656640L; 0xc8e4caa796a6cbabL;
+            0x262281a3c6095d58L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+            0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L ];
+        pin_copy =
+          [ 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+            0xc2bc249e28760ccdL; 0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L;
+            0xe2df09f8ccf26f14L; 0xe664fb166d3dc14cL; 0x1494766cf71b64b6L;
+            0x9b78fbf46485568L; 0xda9e8d784db0c8f7L; 0x1158ab517a8ca0d3L;
+            0x394f8bb12fc92c37L; 0x1633bb32a8a81b0aL; 0xaa1d5be576d44e89L;
+            0x56f1a2422b95b9b3L ];
+      } );
+  ]
 
-let test_heap_empty_raises () =
-  let h = Heap.create Int.compare in
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Heap.pop h));
-  Alcotest.check_raises "peek empty" Not_found (fun () -> ignore (Heap.peek h))
+let test_rng_stream_pinned () =
+  let n = 16 in
+  List.iter
+    (fun (seed, p) ->
+      let draws f =
+        let r = Rng.create seed in
+        List.init n (fun _ -> f r)
+      in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int)) (name "int") p.pin_int
+        (draws (fun r -> Rng.int r 1_000_000_007));
+      Alcotest.(check (list (float 0.0))) (name "float") p.pin_float (draws Rng.float);
+      Alcotest.(check (list bool)) (name "bool") p.pin_bool (draws Rng.bool);
+      Alcotest.(check (list int64)) (name "bits64") p.pin_bits (draws Rng.bits64);
+      let r = Rng.create seed in
+      let c = Rng.split r in
+      let child = List.init n (fun _ -> Rng.bits64 c) in
+      Alcotest.(check (list int64)) (name "split") p.pin_split
+        (child @ List.init 4 (fun _ -> Rng.bits64 r));
+      let r = Rng.create seed in
+      for _ = 1 to 5 do
+        ignore (Rng.bits64 r)
+      done;
+      let c = Rng.copy r in
+      Alcotest.(check (list int64)) (name "copy") p.pin_copy
+        (List.init n (fun _ -> Rng.bits64 c));
+      Alcotest.(check (list int64)) (name "copy is independent") p.pin_copy
+        (List.init n (fun _ -> Rng.bits64 r)))
+    rng_pins
 
-let prop_heap_pop_order =
-  QCheck.Test.make ~name:"heap pops in nondecreasing order"
+(* --- Event queue --- *)
+
+let drain_kinds q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc else go (Event_queue.pop q :: acc)
+  in
+  go []
+
+let test_event_queue_sorts () =
+  let q = Event_queue.create () in
+  List.iter (fun at -> Event_queue.push q ~at:(float_of_int at) at) [ 5; 3; 8; 1; 9; 2; 7 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_kinds q)
+
+let test_event_queue_empty_raises () =
+  let q = Event_queue.create () in
+  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Event_queue.pop q));
+  Alcotest.check_raises "min_at empty" Not_found (fun () -> ignore (Event_queue.min_at q));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Event_queue.push: NaN time")
+    (fun () -> Event_queue.push q ~at:Float.nan 0)
+
+(* ties at equal times pop in push order, the engine's (at, seq) order *)
+let prop_event_queue_pop_order =
+  QCheck.Test.make ~name:"pops in (at, seq) order"
     QCheck.(list small_int)
-    (fun l ->
-      let h = Heap.create Int.compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc) in
-      let out = drain [] in
-      out = List.sort Int.compare l)
+    (fun ats ->
+      let q = Event_queue.create () in
+      List.iteri (fun i at -> Event_queue.push q ~at:(float_of_int (at mod 8)) i) ats;
+      let expected =
+        List.mapi (fun i at -> (at mod 8, i)) ats
+        |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+        |> List.map snd
+      in
+      drain_kinds q = expected)
 
 (* --- Channel --- *)
 
@@ -99,10 +235,12 @@ let test_channel_fifo_without_reorder () =
   let ch = Channel.create ~capacity:10 in
   List.iter (Channel.send ch rng) [ 1; 2; 3 ];
   let take () = Channel.take ch rng ~reorder:false in
-  Alcotest.(check (option int)) "first" (Some 1) (take ());
-  Alcotest.(check (option int)) "second" (Some 2) (take ());
-  Alcotest.(check (option int)) "third" (Some 3) (take ());
-  Alcotest.(check (option int)) "empty" None (take ())
+  Alcotest.(check int) "first" 1 (take ());
+  Alcotest.(check int) "second" 2 (take ());
+  Alcotest.(check int) "third" 3 (take ());
+  Alcotest.(check bool) "empty" true (Channel.is_empty ch);
+  Alcotest.check_raises "take empty" (Invalid_argument "Channel.take: empty channel")
+    (fun () -> ignore (take ()))
 
 let test_channel_corrupt_and_clear () =
   let ch = Channel.create ~capacity:3 in
@@ -391,14 +529,14 @@ let test_channel_matches_list_model () =
         | 0 | 1 | 2 | 3 ->
           Channel.send ring rng_ring i;
           Ref_channel.send refc rng_ref i
-        | 4 ->
-          let a = Channel.take ring rng_ring ~reorder:true in
-          let b = Ref_channel.take refc rng_ref ~reorder:true in
-          Alcotest.(check (option int)) "take reorder" b a
-        | 5 ->
-          let a = Channel.take ring rng_ring ~reorder:false in
-          let b = Ref_channel.take refc rng_ref ~reorder:false in
-          Alcotest.(check (option int)) "take fifo" b a
+        | (4 | 5) as op ->
+          let reorder = op = 4 in
+          let a =
+            if Channel.is_empty ring then None
+            else Some (Channel.take ring rng_ring ~reorder)
+          in
+          let b = Ref_channel.take refc rng_ref ~reorder in
+          Alcotest.(check (option int)) "take" b a
         | 6 ->
           Channel.duplicate_head ring;
           Ref_channel.duplicate_head refc
@@ -420,29 +558,38 @@ let test_channel_matches_list_model () =
       Alcotest.(check int) "duplicated" refc.Ref_channel.duplicated st.Channel.duplicated)
     [ 1; 17; 4242 ]
 
-(* --- Heap vs a sorted-list model, interleaved pushes and pops --- *)
+(* --- Event queue vs a sorted-list model, interleaved pushes and pops --- *)
 
-let test_heap_matches_sorted_model () =
+(* Times are drawn from 40 values (some fractional), so most pushes tie
+   with a queued event and the push-order tie-break decides the order.
+   Each event's kind is its push index, so a misordered tie shows. *)
+let test_event_queue_matches_sorted_model () =
+  let before (a_at, a_seq) (b_at, b_seq) =
+    let c = Float.compare a_at b_at in
+    if c <> 0 then c else Int.compare a_seq b_seq
+  in
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
-      let h = Heap.create Int.compare in
+      let q = Event_queue.create () in
       let model = ref [] in
+      let pushes = ref 0 in
       for _ = 1 to 3_000 do
         if Rng.int rng 3 < 2 || !model = [] then begin
-          let v = Rng.int rng 1_000 in
-          Heap.push h v;
-          model := List.merge Int.compare [ v ] !model
+          let at = float_of_int (Rng.int rng 40) /. 4.0 in
+          Event_queue.push q ~at !pushes;
+          model := List.merge before [ (at, !pushes) ] !model;
+          incr pushes
         end
         else begin
           match !model with
-          | m :: rest ->
-            Alcotest.(check int) "peek is min" m (Heap.peek h);
-            Alcotest.(check int) "pop is min" m (Heap.pop h);
+          | (at, seq) :: rest ->
+            Alcotest.(check (float 0.0)) "min_at is min" at (Event_queue.min_at q);
+            Alcotest.(check int) "pop is min" seq (Event_queue.pop q);
             model := rest
           | [] -> assert false
         end;
-        Alcotest.(check int) "size agrees" (List.length !model) (Heap.size h)
+        Alcotest.(check int) "size agrees" (List.length !model) (Event_queue.size q)
       done)
     [ 2; 23 ]
 
@@ -478,13 +625,15 @@ let suites =
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
+        Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
       ] );
-    ( "sim.heap",
+    ( "sim.event_queue",
       [
-        Alcotest.test_case "sorts" `Quick test_heap_sorts;
-        Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
-        Alcotest.test_case "matches sorted-list model" `Quick test_heap_matches_sorted_model;
-        qtest prop_heap_pop_order;
+        Alcotest.test_case "sorts" `Quick test_event_queue_sorts;
+        Alcotest.test_case "empty raises" `Quick test_event_queue_empty_raises;
+        Alcotest.test_case "matches sorted-list model" `Quick
+          test_event_queue_matches_sorted_model;
+        qtest prop_event_queue_pop_order;
       ] );
     ( "sim.channel",
       [
