@@ -227,38 +227,7 @@ let print_tables timed_tables =
     (fun (_, t, _) -> Format.printf "%a@." Harness.Table.pp t)
     timed_tables
 
-(* --- telemetry summaries --------------------------------------------- *)
-
-(* A short transient-fault recovery under the simulator runtime: the
-   resulting protocol-level latency histograms (replacement phases, reset
-   recovery, join handshakes) ride along in the --json blob so they can be
-   tracked next to the ns/run numbers. Deterministic for the fixed seed. *)
-let run_telemetry () =
-  let n = 5 and seed = 7 in
-  let members = List.init n (fun i -> i + 1) in
-  let sys =
-    Reconfig.Stack.of_scenario ~hooks:Reconfig.Stack.unit_hooks
-      (Reconfig.Scenario.make ~seed ~loss:0.02 ~n_bound:(2 * n) ~members ())
-  in
-  Reconfig.Stack.run_rounds sys 30;
-  Reconfig.Stack.corrupt_everything sys ~rng:(Sim.Rng.create (seed + 1));
-  ignore (Reconfig.Stack.run_until_quiescent sys ~max_rounds:500);
-  Sim.Engine.telemetry (Reconfig.Stack.engine sys)
-
 (* --- JSON output ----------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let json_number f =
   if Float.is_nan f || Float.is_integer f && Float.abs f > 1e15 then "null"
@@ -267,47 +236,22 @@ let json_number f =
 let json_num_obj pairs =
   "{"
   ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (json_number v)) pairs)
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\": %s" (Telemetry.Export.json_escape k) (json_number v))
+         pairs)
   ^ "}"
 
-(* One histogram as {"count": n, "sum": s, "p50": x, "p90": x, "p99": x},
-   keyed "name{k=v,...}" like the Prometheus series identity. *)
-let json_histograms tele =
-  let series (name, labels, h) =
-    let key =
-      match labels with
-      | [] -> name
-      | labels ->
-        name ^ "{"
-        ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-        ^ "}"
-    in
-    let module H = Telemetry.Histogram in
-    let q p = Option.value ~default:nan (H.quantile h p) in
-    Printf.sprintf "\"%s\": %s" (json_escape key)
-      (json_num_obj
-         [
-           ("count", float_of_int (H.count h));
-           ("sum", H.sum h);
-           ("p50", q 0.5);
-           ("p90", q 0.9);
-           ("p99", q 0.99);
-         ])
-  in
-  "{" ^ String.concat ", " (List.map series (Telemetry.histograms tele)) ^ "}"
-
-let print_json ~jobs ~mode ~micro ~experiments ~ablations ~telemetry ~total_s =
+let print_json ~jobs ~mode ~micro ~experiments ~ablations ~total_s =
   let wall_pairs timed_tables = List.map (fun (id, _, dt) -> (id, dt)) timed_tables in
   Format.printf
     "{@.  \"schema\": \"ssreconf-bench/1\",@.  \"jobs\": %d,@.  \"mode\": \"%s\",@.  \
      \"micro_ns_per_run\": %s,@.  \"experiments_wall_s\": %s,@.  \
-     \"ablations_wall_s\": %s,@.  \"telemetry_histograms\": %s,@.  \
-     \"total_wall_s\": %s@.}@."
+     \"ablations_wall_s\": %s,@.  \"total_wall_s\": %s@.}@."
     jobs mode
     (json_num_obj micro)
     (json_num_obj (wall_pairs experiments))
     (json_num_obj (wall_pairs ablations))
-    (json_histograms telemetry)
     (json_number total_s)
 
 (* --- driver ---------------------------------------------------------- *)
@@ -347,11 +291,9 @@ let () =
     else []
   in
   let total_s = Unix.gettimeofday () -. t0 in
-  if json then begin
-    let telemetry = run_telemetry () in
+  if json then
     print_json ~jobs ~mode:(if full then "full" else "quick") ~micro ~experiments
-      ~ablations ~telemetry ~total_s
-  end
+      ~ablations ~total_s
   else begin
     if not tables_only then print_micro micro;
     print_tables experiments;

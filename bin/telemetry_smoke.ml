@@ -33,13 +33,6 @@ let run_scenario () =
   ignore (Stack.run_until_quiescent sys ~max_rounds:500);
   sys
 
-let entry_json e =
-  Printf.sprintf "{\"time\":%s,\"node\":%s,\"tag\":\"%s\",\"detail\":\"%s\"}"
-    (Telemetry.Export.json_float e.Trace.time)
-    (match e.Trace.node with Some p -> string_of_int p | None -> "null")
-    (Telemetry.Export.json_escape e.Trace.tag)
-    (Telemetry.Export.json_escape e.Trace.detail)
-
 let render sys =
   let tele = Engine.telemetry (Stack.engine sys) in
   let prom = Buffer.create 4096 in
@@ -50,7 +43,7 @@ let render sys =
   Trace.iter
     (Engine.trace (Stack.engine sys))
     (fun e ->
-      Buffer.add_string tr (entry_json e);
+      Buffer.add_string tr (Trace.entry_json e);
       Buffer.add_char tr '\n');
   (Buffer.contents prom, Buffer.contents ml, Buffer.contents tr)
 

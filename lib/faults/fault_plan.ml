@@ -29,7 +29,6 @@ let empty = { seed = 7; entries = [] }
 let make ?(seed = 7) entries = { seed; entries = sort_entries entries }
 let at at event = { at; event }
 let add t ~at:r event = { t with entries = sort_entries ({ at = r; event } :: t.entries) }
-let with_seed t seed = { t with seed }
 
 let storm ~seed ~start ~rounds ~rate =
   let rng = Rng.create seed in

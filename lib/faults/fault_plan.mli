@@ -79,8 +79,6 @@ val at : int -> event -> entry
 val add : t -> at:int -> event -> t
 (** Functional insert, keeping the round order. *)
 
-val with_seed : t -> int -> t
-
 val storm : seed:int -> start:int -> rounds:int -> rate:float -> entry list
 (** [storm ~seed ~start ~rounds ~rate] — a corruption storm: for each of
     the [rounds] rounds beginning at [start], with probability [rate] one

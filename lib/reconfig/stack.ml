@@ -2,7 +2,7 @@ open Sim
 
 type ('app, 'msg) message =
   | Heartbeat
-  | Snap of Datalink.Snap_link.msg
+  | Snap of Snap_link.msg
   | Sa of Recsa.message
   | Ma of Recma.message
   | Join of 'app Join.message
@@ -15,7 +15,7 @@ type 'app node_state = {
   join : 'app Join.t;
   mutable app : 'app;
   mutable seeds : Pid.Set.t;
-  mutable snap : Datalink.Snap_link.t Pid.Map.t;
+  mutable snap : Snap_link.t Pid.Map.t;
   joiner : bool;
   mutable tele_phase : Notification.phase;
 }
@@ -124,7 +124,7 @@ let link_clean n peer =
   (not n.joiner)
   ||
   match Pid.Map.find_opt peer n.snap with
-  | Some s -> Datalink.Snap_link.phase s = Datalink.Snap_link.Clean_done
+  | Some s -> Snap_link.phase s = Snap_link.Clean_done
   | None -> false
 
 (* a deterministic handshake instance identifier for the pair: the two pids
@@ -163,8 +163,7 @@ let snap_instance ~capacity n ~self ~peer =
   | Some s -> s
   | None ->
     let s =
-      Datalink.Snap_link.create ~capacity ~self ~peer
-        ~nonce:(snap_nonce ~self ~peer)
+      Snap_link.create ~capacity ~self ~peer ~nonce:(snap_nonce ~self ~peer)
     in
     n.snap <- Pid.Map.add peer s n.snap;
     s
@@ -258,7 +257,7 @@ module Core (R : Runtime.S) = struct
       (* flood pending cleaning handshakes *)
       Pid.Map.iter
         (fun peer s ->
-          match Datalink.Snap_link.on_tick s with
+          match Snap_link.on_tick s with
           | Some m ->
             (* keep the channel's pipe full: the handshake needs more than
                the round-trip capacity of acknowledgments *)
@@ -335,7 +334,7 @@ module Core (R : Runtime.S) = struct
       (match msg with
       | Snap m ->
         let s = snap_instance ~capacity n ~self:(R.self ctx) ~peer:from in
-        let reply, completed = Datalink.Snap_link.on_msg s m in
+        let reply, completed = Snap_link.on_msg s m in
         (match reply with
         | Some r -> send_counted ctx Snap_k from (Snap r)
         | None -> ());

@@ -20,7 +20,7 @@ open Sim
 
 type ('app, 'msg) message =
   | Heartbeat  (** the data-link token; keeps failure detectors fed *)
-  | Snap of Datalink.Snap_link.msg
+  | Snap of Snap_link.msg
       (** snap-stabilizing link cleaning on new connections (Section 2) *)
   | Sa of Recsa.message
   | Ma of Recma.message
@@ -34,7 +34,7 @@ type 'app node_state = {
   join : 'app Join.t;
   mutable app : 'app;
   mutable seeds : Pid.Set.t;  (** initially-known processors *)
-  mutable snap : Datalink.Snap_link.t Pid.Map.t;
+  mutable snap : Snap_link.t Pid.Map.t;
       (** per-peer cleaning handshakes; a joiner participates in the
           protocols over a link only once its handshake completed *)
   joiner : bool;  (** joined after system start (runs the handshake) *)

@@ -41,3 +41,8 @@ val count : t -> string -> int
 
 val clear : t -> unit
 val pp_entry : Format.formatter -> entry -> unit
+
+(** [entry_json e] is [e] as one JSON object on one line (no newline):
+    [{"time":..,"node":..,"tag":"..","detail":".."}], [node] [null] when
+    absent. This is the line format of every JSONL trace export. *)
+val entry_json : entry -> string

@@ -224,8 +224,28 @@ let test_joiner_runs_snap_handshake () =
   let joiner_node = Stack.node sys 9 in
   Alcotest.(check bool) "joiner's links all clean" true
     (Pid.Map.for_all
-       (fun _ s -> Datalink.Snap_link.phase s = Datalink.Snap_link.Clean_done)
+       (fun _ s -> Snap_link.phase s = Snap_link.Clean_done)
        joiner_node.Stack.snap)
+
+let test_join_survives_seed_crash () =
+  (* a seed that crashes mid-join never completes its cleaning handshake;
+     the gating is per link, so the joiner still joins through the rest *)
+  let sys = make_system ~seed:34 () in
+  Stack.run_rounds sys 25;
+  Stack.add_joiner sys 9;
+  Stack.crash sys 1;
+  Alcotest.(check bool) "joined" true
+    (Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Recsa.is_participant (Stack.node t 9).Stack.sa));
+  let snap = (Stack.node sys 9).Stack.snap in
+  let phase peer = Option.map Snap_link.phase (Pid.Map.find_opt peer snap) in
+  Alcotest.(check bool) "link to crashed seed still cleaning" true
+    (phase 1 = Some Snap_link.Cleaning);
+  Alcotest.(check bool) "link to live seed clean" true (phase 2 = Some Snap_link.Clean_done);
+  Alcotest.(check bool) "crashed seed not trusted" false
+    (Pid.Set.mem 1 (Stack.trusted_of sys 9));
+  Alcotest.(check bool) "quiescent" true
+    (Stack.run_until_quiescent sys ~max_rounds:500 <> None)
 
 let test_join_count_and_events () =
   let sys = make_system ~seed:33 () in
@@ -608,6 +628,7 @@ let suites =
         Alcotest.test_case "application can block" `Quick test_joiner_blocked_by_application;
         Alcotest.test_case "multiple joiners" `Quick test_join_count_and_events;
         Alcotest.test_case "snap handshake on join" `Quick test_joiner_runs_snap_handshake;
+        Alcotest.test_case "seed crash mid-join" `Quick test_join_survives_seed_crash;
       ] );
     ( "reconfig.invariants",
       [
