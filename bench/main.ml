@@ -4,9 +4,9 @@
 
    1. bechamel micro-benchmarks of the core primitives (one Test.make per
       primitive), so the cost of each building block is tracked;
-   2. the experiment tables E1-E11 (DESIGN.md Section 5 / EXPERIMENTS.md),
-      which regenerate the measurable content of every theorem and figure
-      of the paper on the simulation substrate.
+   2. the experiment tables E1-E18 and ablations A1-A4 (DESIGN.md Section
+      5 / EXPERIMENTS.md), which regenerate the measurable content of every
+      theorem and figure of the paper on the simulation substrate.
 
    Usage:
      bench/main.exe            micro-benches + quick experiment tables
@@ -54,7 +54,7 @@ let bench_channel =
            Sim.Channel.send ch rng i
          done;
          while not (Sim.Channel.is_empty ch) do
-           ignore (Sim.Channel.take ch rng ~reorder:true)
+           ignore (Sim.Channel.take ch rng)
          done))
 
 let bench_fd =
@@ -287,7 +287,7 @@ let () =
   in
   let ablations =
     if (not micro_only) && not skip_ablations then
-      run_registry Harness.Ablations.registry ~jobs params
+      run_registry Harness.Experiments.ablations ~jobs params
     else []
   in
   let total_s = Unix.gettimeofday () -. t0 in

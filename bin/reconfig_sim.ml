@@ -3,6 +3,7 @@
 
    Subcommands:
      experiments   regenerate the paper-claim tables (E1..E18)
+     ablations     run the design-choice ablation tables (A1..A4)
      scenario      run a named scenario and print what happened
      faults        replay a declarative fault plan on either runtime
      trace         run a transient-fault recovery and dump the event trace
@@ -18,57 +19,55 @@ open Reconfig
 (* experiments                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let experiments_cmd =
+(* --full picks the grid every table runs over *)
+let params_term =
   let full =
     Arg.(value & flag & info [ "full" ] ~doc:"Run with the full parameter grid.")
   in
+  Term.(
+    const (fun full ->
+        if full then Harness.Experiments.default_params
+        else Harness.Experiments.quick_params)
+    $ full)
+
+let print_tables params jobs registry =
+  List.iter
+    (fun (_, f) -> Format.printf "%a@." Harness.Table.pp (f ?jobs:(Some jobs) params))
+    registry
+
+let experiments_cmd =
   let ids =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"ID"
           ~doc:"Experiment identifiers (E1..E18). All when omitted.")
   in
-  let run full jobs ids =
-    let params =
-      if full then Harness.Experiments.default_params
-      else Harness.Experiments.quick_params
-    in
-    let tables =
-      match ids with
-      | [] -> Harness.Experiments.all ~jobs params
+  let run params jobs ids =
+    let known = Harness.Experiments.registry in
+    print_tables params jobs
+      (match ids with
+      | [] -> known
       | ids ->
         List.map
           (fun id ->
             match Harness.Experiments.by_id id with
-            | Some f -> f ~jobs params
+            | Some f -> (id, f)
             | None ->
               Format.eprintf "unknown experiment %s (known: %s)@." id
-                (String.concat ", " Harness.Experiments.ids);
+                (String.concat ", " (List.map fst known));
               exit 1)
-          ids
-    in
-    List.iter (fun t -> Format.printf "%a@." Harness.Table.pp t) tables
+          ids)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper-claim tables (E1..E18).")
-    Term.(const run $ full $ Cli_common.jobs_arg $ ids)
+    Term.(const run $ params_term $ Cli_common.jobs_arg $ ids)
 
 let ablations_cmd =
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Run with the full parameter grid.")
-  in
-  let run full jobs =
-    let params =
-      if full then Harness.Experiments.default_params
-      else Harness.Experiments.quick_params
-    in
-    List.iter
-      (fun t -> Format.printf "%a@." Harness.Table.pp t)
-      (Harness.Ablations.all ~jobs params)
-  in
   Cmd.v
     (Cmd.info "ablations" ~doc:"Run the design-choice ablation sweeps (A1..A4).")
-    Term.(const run $ full $ Cli_common.jobs_arg)
+    Term.(
+      const print_tables $ params_term $ Cli_common.jobs_arg
+      $ const Harness.Experiments.ablations)
 
 (* ------------------------------------------------------------------ *)
 (* scenario                                                             *)
@@ -92,15 +91,8 @@ let scenario_steady (sc : Scenario.t) =
     (Stack.quiescent sys);
   Format.printf "proposing replacement by {1..%d}...@." (n - 1);
   let target = Pid.set_of_list (List.init (n - 1) (fun i -> i + 1)) in
-  let rec propose k =
-    if k = 0 then Format.printf "estab not accepted@."
-    else if not (Stack.estab sys 1 target) then (Stack.run_rounds sys 2; propose (k - 1))
-  in
-  propose 50;
-  ignore
-    (Stack.run_until sys ~max_steps:2_000_000 (fun t ->
-         Stack.quiescent t
-         && match Stack.uniform_config t with Some c -> Pid.Set.equal c target | None -> false));
+  if not (Stack.propose sys 1 target ~tries:50) then Format.printf "estab not accepted@.";
+  ignore (Stack.run_until sys ~max_steps:2_000_000 (fun t -> Stack.installed t target));
   Format.printf "config after delicate replacement: %a@." pp_config sys;
   Format.printf "delicate installs: %d, brute-force resets: %d@."
     (Stack.total_installs sys) (Stack.total_resets sys);

@@ -25,18 +25,8 @@ let () =
   (* Delicate replacement: ask recSA to install {1,2,3}. The proposal goes
      through the three-phase automaton of Figure 2. *)
   let target = Pid.set_of_list [ 1; 2; 3 ] in
-  let rec propose tries =
-    if tries > 0 && not (Stack.estab sys 1 target) then begin
-      Stack.run_rounds sys 2;
-      propose (tries - 1)
-    end
-  in
-  propose 50;
-  ignore
-    (Stack.run_until sys ~max_steps:1_000_000 (fun t ->
-         match Stack.uniform_config t with
-         | Some c -> Pid.Set.equal c target && Stack.quiescent t
-         | None -> false));
+  ignore (Stack.propose sys 1 target ~tries:50);
+  ignore (Stack.run_until sys ~max_steps:1_000_000 (fun t -> Stack.installed t target));
   Format.printf "after estab({1,2,3}): %a@."
     (fun fmt () ->
       match Stack.uniform_config sys with

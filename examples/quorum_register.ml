@@ -47,17 +47,9 @@ let () =
   (* delicate reconfiguration away from the crashed member; the register
      value survives because every participant keeps a refreshed copy *)
   let target = Pid.set_of_list [ 1; 3; 4; 5 ] in
-  let rec propose k =
-    if k = 0 then failwith "estab never accepted"
-    else if not (Reconfig.Stack.estab sys 1 target) then begin
-      Reconfig.Stack.run_rounds sys 2;
-      propose (k - 1)
-    end
-  in
-  propose 60;
-  wait sys (fun t ->
-      Option.equal Pid.Set.equal (Reconfig.Stack.uniform_config t) (Some target)
-      && Reconfig.Stack.quiescent t);
+  if not (Reconfig.Stack.propose sys 1 target ~tries:60) then
+    failwith "estab never accepted";
+  wait sys (fun t -> Reconfig.Stack.installed t target);
   Format.printf "reconfigured to {1, 3, 4, 5}@.";
   Register_service.read (app sys 1) ~rid:2 "balance";
   wait sys (fun t -> Register_service.find_read (app t 1) ~rid:2 <> None);

@@ -20,52 +20,19 @@ type params = {
 val default_params : params
 val quick_params : params
 
-val e1_convergence : ?jobs:int -> params -> Table.t
-val e2_delicate_replacement : ?jobs:int -> params -> Table.t
-val e3_recma_trigger_bound : ?jobs:int -> params -> Table.t
-val e4_recma_liveness : ?jobs:int -> params -> Table.t
-val e5_joining : ?jobs:int -> params -> Table.t
-val e6_label_creations : ?jobs:int -> params -> Table.t
-val e7_counter_increments : ?jobs:int -> params -> Table.t
-val e8_vs_smr : ?jobs:int -> params -> Table.t
-val e9_baseline_comparison : ?jobs:int -> params -> Table.t
-val e10_interface_contract : ?jobs:int -> params -> Table.t
-val e11_shared_memory : ?jobs:int -> params -> Table.t
-val e12_churn : ?jobs:int -> params -> Table.t
-val e13_fd_estimate : ?jobs:int -> params -> Table.t
-val e14_partitions : ?jobs:int -> params -> Table.t
-val e15_message_overhead : ?jobs:int -> params -> Table.t
-val e16_register_comparison : ?jobs:int -> params -> Table.t
-
-(** The scale tier (E17): recovery and steady-state throughput at
-    N ∈ {16, 32, 64}. The recovered/rounds columns are deterministic per
-    seed; the wall-clock throughput columns are not — they are the one
-    exception to table byte-identity. *)
-val e17_scale : ?jobs:int -> params -> Table.t
-
-(** The sizes the scale tier measures (16, 32, 64). *)
-val scale_sizes : int list
-
-(** Fault-plan sweep (E18): stabilization time vs. fault intensity
-    (corruption-storm rate x partition duration x churn) at N ∈ {8, 16, 32},
-    with p50/p95 reset-recovery latencies from the telemetry histogram.
-    Every cell replays one declarative {!Faults.Fault_plan} through
-    [Stack.run_plan]. *)
-val e18_faults : ?jobs:int -> params -> Table.t
-
-(** The sizes (8, 16, 32) and composite intensity levels E18 sweeps. *)
-val fault_sizes : int list
-
-val fault_levels : (string * float * int * bool) list
-
-(** All experiments in order. *)
-val all : ?jobs:int -> params -> Table.t list
-
-(** The (id, experiment) pairs behind {!all}, in order — for callers that
-    need per-experiment timing or selection. *)
+(** The paper-claim tables E1..E18 by id, in order. E17 (the scale tier:
+    recovery and throughput at N ∈ {16, 32, 64}) has wall-clock columns,
+    the one exception to byte-identical output; E18 replays declarative
+    {!Faults.Fault_plan}s of rising intensity at N ∈ {8, 16, 32}. *)
 val registry : (string * (?jobs:int -> params -> Table.t)) list
 
-(** [by_id id] — lookup an experiment by its "E<n>" identifier. *)
-val by_id : string -> (?jobs:int -> params -> Table.t) option
+(** The design ablations A1..A4 by id, in order. They are not paper
+    claims; they measure the implementation's sensitivity to its own
+    choices: the failure detector's gap factor Θ (A1), packet loss against
+    delicate-replacement latency (A2), channel capacity against recovery
+    cost (A3), and brute-force reset against delicate replacement (A4). *)
+val ablations : (string * (?jobs:int -> params -> Table.t)) list
 
-val ids : string list
+(** [by_id id] looks up an experiment of {!registry} by its "E<n>" id
+    (case-insensitive). *)
+val by_id : string -> (?jobs:int -> params -> Table.t) option

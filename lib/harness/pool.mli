@@ -24,9 +24,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-(** [shutdown t] drains the queue and joins all workers. Idempotent. *)
-val shutdown : t -> unit
-
 (** [with_pool ~jobs f] runs [f] with a fresh pool, shutting it down on
     return or exception. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a

@@ -43,10 +43,6 @@ let pp fmt t =
   Format.fprintf fmt "%s@." sep;
   List.iter (fun n -> Format.fprintf fmt "note: %s@." n) t.notes
 
-let to_csv t =
-  let line cells = String.concat "," cells in
-  String.concat "\n" (line t.header :: List.map line t.rows)
-
 let cell_int = string_of_int
 let cell_float f = Printf.sprintf "%.1f" f
 let cell_bool = string_of_bool

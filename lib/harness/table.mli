@@ -21,9 +21,6 @@ val make :
 
 val pp : Format.formatter -> t -> unit
 
-(** [to_csv t] — header plus rows, comma-separated. *)
-val to_csv : t -> string
-
 (** Format helpers for cells. *)
 
 val cell_int : int -> string

@@ -11,22 +11,14 @@ type message = {
   m_echo : echo_view option;
 }
 
-type peer_view = {
-  p_fd : Pid.Set.t;
-  p_part : Pid.Set.t;
-  p_config : Config_value.t;
-  p_prp : Notification.t;
-  p_all : bool;
-  p_echo : echo_view option;
-}
-
 type t = {
   sa_self : Pid.t;
   mutable sa_config : Config_value.t;
   mutable sa_prp : Notification.t;
   mutable sa_all : bool;
   mutable sa_allseen : Pid.Set.t;
-  mutable peers : peer_view Pid.Map.t;
+  mutable peers : message Pid.Map.t;
+      (* each trusted peer's latest message, descriptors interned *)
   mutable resets : int;
   mutable installs : int;
 }
@@ -68,7 +60,7 @@ let participants t ~trusted =
          if Pid.equal p t.sa_self then is_participant t
          else
            match Pid.Map.find_opt p t.peers with
-           | Some pv -> not (Config_value.is_not_participant pv.p_config)
+           | Some pv -> not (Config_value.is_not_participant pv.m_config)
            | None -> false)
        trusted)
 
@@ -77,7 +69,7 @@ let participants t ~trusted =
 let visible_configs t ~trusted =
   let received =
     Pid.Map.fold
-      (fun p pv acc -> if Pid.Set.mem p trusted then pv.p_config :: acc else acc)
+      (fun p pv acc -> if Pid.Set.mem p trusted then pv.m_config :: acc else acc)
       t.peers []
   in
   t.sa_config :: received
@@ -123,17 +115,17 @@ let peer_views t ~part =
 
 (* same(k): pk's most recently received (part, prp) match ours. *)
 let same t ~part pv =
-  Intern.set_equal pv.p_part part && Notification.equal pv.p_prp t.sa_prp
+  Intern.set_equal pv.m_part part && Notification.equal pv.m_prp t.sa_prp
 
 (* echoNoAll: pk echoed our (part, prp). *)
 let echo_no_all t ~part pv =
-  match pv.p_echo with
+  match pv.m_echo with
   | None -> false
   | Some e -> Intern.set_equal e.e_part part && Notification.equal e.e_prp t.sa_prp
 
 (* echo(): pk echoed our full (part, prp, all) triple. *)
 let echo_full t ~part pv =
-  match pv.p_echo with
+  match pv.m_echo with
   | None -> false
   | Some e ->
     Intern.set_equal e.e_part part
@@ -145,24 +137,24 @@ let no_reco t ~trusted =
   let views = peer_views t ~part in
   (* all participants have reported (they are in part only if their config
      was received, so views covers part \ {self}) *)
-  let recognized = List.for_all (fun (_, pv) -> Pid.Set.mem t.sa_self pv.p_fd) views in
+  let recognized = List.for_all (fun (_, pv) -> Pid.Set.mem t.sa_self pv.m_fd) views in
   let values = visible_configs t ~trusted in
   let no_conflict = List.length (distinct_sets values) <= 1 in
   let no_reset = not (exists_reset values) in
   let parts_stable =
-    List.for_all (fun (_, pv) -> Intern.set_equal pv.p_part part) views
+    List.for_all (fun (_, pv) -> Intern.set_equal pv.m_part part) views
     (* peers can only echo our values if we broadcast, i.e. participate *)
     && ((not (is_participant t))
        || List.for_all
             (fun (_, pv) ->
-              match pv.p_echo with
+              match pv.m_echo with
               | Some e -> Intern.set_equal e.e_part part
               | None -> false)
             views)
   in
   let no_notification =
     Notification.is_default t.sa_prp
-    && List.for_all (fun (_, pv) -> Notification.is_default pv.p_prp) views
+    && List.for_all (fun (_, pv) -> Notification.is_default pv.m_prp) views
   in
   recognized && no_conflict && no_reset && parts_stable && no_notification
 
@@ -179,7 +171,7 @@ let config_set t value =
   t.sa_allseen <- Pid.Set.empty;
   t.peers <-
     Pid.Map.map
-      (fun pv -> { pv with p_config = value; p_prp = Notification.default })
+      (fun pv -> { pv with m_config = value; m_prp = Notification.default })
       t.peers
 
 let start_reset t reason events =
@@ -224,7 +216,7 @@ let phase2_conflict t views =
       if List.exists (Intern.set_equal s) acc then acc else s :: acc
     | _ -> acc
   in
-  let sets = List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) (collect [] t.sa_prp) views in
+  let sets = List.fold_left (fun acc (_, pv) -> collect acc pv.m_prp) (collect [] t.sa_prp) views in
   List.length sets > 1
 
 (* Definition 3.1 type-4: a stable view (every participant reports our
@@ -236,7 +228,7 @@ let dead_config t ~trusted ~part views =
     && complete t ~part views
     && List.for_all
          (fun (_, pv) ->
-           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
+           Intern.set_equal pv.m_fd trusted && Intern.set_equal pv.m_part part)
          views
     && Pid.Set.disjoint s part
   | Config_value.Not_participant | Config_value.Reset -> false
@@ -278,7 +270,7 @@ let stale_check_quiet t ~trusted ~part views events =
 
 let max_notification t ~part views =
   let own = if Pid.Set.mem t.sa_self part then [ t.sa_prp ] else [] in
-  let received = List.map (fun (_, pv) -> pv.p_prp) views in
+  let received = List.map (fun (_, pv) -> pv.m_prp) views in
   Notification.max_of (own @ received)
 
 (* Brute-force stabilization (line 26): during a reset, wait until every
@@ -291,7 +283,7 @@ let brute_force t ~trusted events =
       Pid.Set.for_all
         (fun p ->
           match Pid.Map.find_opt p t.peers with
-          | Some pv -> Intern.set_equal pv.p_fd trusted
+          | Some pv -> Intern.set_equal pv.m_fd trusted
           | None -> false)
         others
     in
@@ -327,8 +319,8 @@ let delicate t ~part views max_ntf events =
     let completed =
       List.exists
         (fun (_, pv) ->
-          Notification.is_default pv.p_prp
-          && Config_value.equal pv.p_config (Config_value.Set s))
+          Notification.is_default pv.m_prp
+          && Config_value.equal pv.m_config (Config_value.Set s))
         views
     in
     if completed then begin
@@ -349,7 +341,7 @@ let delicate t ~part views max_ntf events =
     (* accumulate allSeen: peers that reported all[k] for our notification *)
     List.iter
       (fun (p, pv) ->
-        if same t ~part pv && pv.p_all then t.sa_allseen <- Pid.Set.add p t.sa_allseen)
+        if same t ~part pv && pv.m_all then t.sa_allseen <- Pid.Set.add p t.sa_allseen)
       views;
     let echo_ok = complete_views && List.for_all (fun (_, pv) -> echo_full t ~part pv) views in
     let allseen_ok =
@@ -381,13 +373,13 @@ let tick t ~trusted =
   end;
   (* rebuilt only when needed: a fresh copy of this long-lived map every
      tick would all be promoted *)
-  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.p_prp) t.peers then
+  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.m_prp) t.peers then
     t.peers <-
       Pid.Map.map
         (fun pv ->
-          if Notification.malformed pv.p_prp then begin
+          if Notification.malformed pv.m_prp then begin
             events := Event.Stale 1 :: !events;
-            { pv with p_prp = Notification.default }
+            { pv with m_prp = Notification.default }
           end
           else pv)
         t.peers;
@@ -396,7 +388,7 @@ let tick t ~trusted =
   (if Config_value.is_not_participant t.sa_config then
      let reset_visible =
        Pid.Map.exists
-         (fun p pv -> Pid.Set.mem p trusted && Config_value.is_reset pv.p_config)
+         (fun p pv -> Pid.Set.mem p trusted && Config_value.is_reset pv.m_config)
          t.peers
      in
      if reset_visible then begin
@@ -429,8 +421,7 @@ let broadcast t ~trusted =
         else
           let echo =
             match Pid.Map.find_opt p t.peers with
-            | Some pv ->
-              Some { e_part = pv.p_part; e_prp = pv.p_prp; e_all = pv.p_all }
+            | Some pv -> Some { e_part = pv.m_part; e_prp = pv.m_prp; e_all = pv.m_all }
             | None -> None
           in
           ( p,
@@ -465,12 +456,12 @@ let receive t ~from m =
   t.peers <-
     Pid.Map.add from
       {
-        p_fd = Intern.pid_set m.m_fd;
-        p_part = Intern.pid_set m.m_part;
-        p_config = Config_value.intern m.m_config;
-        p_prp = Notification.intern prp;
-        p_all = m.m_all;
-        p_echo = echo;
+        m_fd = Intern.pid_set m.m_fd;
+        m_part = Intern.pid_set m.m_part;
+        m_config = Config_value.intern m.m_config;
+        m_prp = Notification.intern prp;
+        m_all = m.m_all;
+        m_echo = echo;
       }
       t.peers
 
@@ -503,7 +494,7 @@ let stale_types t ~trusted =
   let views = peer_views t ~part in
   let type1 =
     Notification.malformed t.sa_prp
-    || List.exists (fun (_, pv) -> Notification.malformed pv.p_prp) views
+    || List.exists (fun (_, pv) -> Notification.malformed pv.m_prp) views
   in
   let values = visible_configs t ~trusted in
   let type2 =
@@ -519,7 +510,7 @@ let stale_types t ~trusted =
     (fun (present, ty) -> if present then Some ty else None)
     [ (type1, Type1); (type2, Type2); (type3, Type3); (type4, Type4) ]
 
-let peer_fd t p = Option.map (fun pv -> pv.p_fd) (Pid.Map.find_opt p t.peers)
+let peer_fd t p = Option.map (fun pv -> pv.m_fd) (Pid.Map.find_opt p t.peers)
 
 let corrupt t ?config ?prp ?all ?allseen () =
   (match config with Some c -> t.sa_config <- c | None -> ());

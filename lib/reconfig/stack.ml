@@ -480,13 +480,16 @@ module type SYSTEM = sig
   val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
   val uniform_config : ('app, 'msg) t -> Pid.Set.t option
   val quiescent : ('app, 'msg) t -> bool
+  val installed : ('app, 'msg) t -> Pid.Set.t -> bool
   val total_resets : ('app, 'msg) t -> int
   val total_installs : ('app, 'msg) t -> int
   val total_triggers : ('app, 'msg) t -> int
+  val rounds : ('app, 'msg) t -> int
   val run_rounds : ('app, 'msg) t -> int -> unit
   val run_until_quiescent : ('app, 'msg) t -> max_rounds:int -> int option
   val crash : ('app, 'msg) t -> Pid.t -> unit
   val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
+  val propose : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> tries:int -> bool
   val corrupt_node : ('app, 'msg) t -> Pid.t -> rng:Rng.t -> unit
   val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
 
@@ -538,10 +541,16 @@ module Make (H : HOST) : SYSTEM with type ('s, 'm) host = ('s, 'm) H.t = struct
   let trusted_of t p = Detector.Theta_fd.trusted (node t p).fd
   let uniform_config t = uniform_config_of (live_nodes t)
   let quiescent t = quiescent_of (live_nodes t)
+
+  let installed t set =
+    (match uniform_config t with Some c -> Pid.Set.equal c set | None -> false)
+    && quiescent t
+
   let sum_over t f = List.fold_left (fun acc (_, n) -> acc + f n) 0 (live_nodes t)
   let total_resets t = sum_over t (fun n -> Recsa.reset_count n.sa)
   let total_installs t = sum_over t (fun n -> Recsa.install_count n.sa)
   let total_triggers t = sum_over t (fun n -> Recma.trigger_count n.ma)
+  let rounds t = H.rounds t.host
   let run_rounds t n = H.run_rounds t.host n
 
   let run_until_quiescent t ~max_rounds =
@@ -558,6 +567,14 @@ module Make (H : HOST) : SYSTEM with type ('s, 'm) host = ('s, 'm) H.t = struct
 
   let crash t p = H.crash t.host p
   let estab t p set = Recsa.estab (node t p).sa ~trusted:(trusted_of t p) set
+
+  let rec propose t p set ~tries =
+    if tries <= 0 then false
+    else if estab t p set then true
+    else begin
+      run_rounds t 2;
+      propose t p set ~tries:(tries - 1)
+    end
 
   let corrupt_node t p ~rng =
     let pool = H.pids t.host in

@@ -264,6 +264,10 @@ module type SYSTEM = sig
   (** Uniform configuration and [no_reco] holds at every live participant
       (steady config state). *)
 
+  val installed : ('app, 'msg) t -> Pid.Set.t -> bool
+  (** [installed t set] — {!quiescent} with [uniform_config t = Some set]:
+      a replacement to [set] has completed. *)
+
   (** Sums over all live nodes: recSA brute-force resets, delicate
       installs, recMA accepted triggerings. *)
 
@@ -272,6 +276,9 @@ module type SYSTEM = sig
   val total_triggers : ('app, 'msg) t -> int
 
   (** {2 Driving} *)
+
+  val rounds : ('app, 'msg) t -> int
+  (** Asynchronous rounds completed so far (the host's round count). *)
 
   val run_rounds : ('app, 'msg) t -> int -> unit
 
@@ -284,6 +291,11 @@ module type SYSTEM = sig
   val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
   (** [estab t p set] — request a delicate replacement at node [p] (test
       hook; normally recMA decides). *)
+
+  val propose : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> tries:int -> bool
+  (** [propose t p set ~tries] calls {!estab} up to [tries] times, running 2
+      rounds after each refusal, until one is accepted. [false] when every
+      try was refused (after [2 * tries] rounds). *)
 
   (** {2 Faults}
 

@@ -80,10 +80,9 @@ let remove_nth t n =
   t.len <- t.len - 1;
   x
 
-let take t rng ~reorder =
+let take t rng =
   if t.len = 0 then invalid_arg "Channel.take: empty channel";
-  let idx = if reorder then Rng.int rng t.len else 0 in
-  let pkt = remove_nth t idx in
+  let pkt = remove_nth t (Rng.int rng t.len) in
   t.st.delivered <- t.st.delivered + 1;
   pkt
 

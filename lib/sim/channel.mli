@@ -33,11 +33,10 @@ val stats : 'a t -> stats
     the new packet is dropped or it replaces a random queued packet. *)
 val send : 'a t -> Rng.t -> 'a -> unit
 
-(** [take t rng ~reorder] removes one packet for delivery and returns it:
-    the head, or a uniformly random queued packet when [reorder]. Requires
-    [not (is_empty t)].
+(** [take t rng] removes a uniformly random queued packet for delivery
+    (channels reorder) and returns it. Requires [not (is_empty t)].
     @raise Invalid_argument if [t] is empty. *)
-val take : 'a t -> Rng.t -> reorder:bool -> 'a
+val take : 'a t -> Rng.t -> 'a
 
 (** [duplicate_head t] re-enqueues a copy of the head packet if capacity
     allows, counting it as a duplication. *)

@@ -92,12 +92,6 @@ type ('s, 'm) t = {
   e_rng : Rng.t;
   capacity : int;
   loss : float;
-  dup : float;
-  reorder : bool;
-  min_delay : float;
-  max_delay : float;
-  timer_min : float;
-  timer_max : float;
   (* slot directory *)
   slot_tbl : (Pid.t, int) Hashtbl.t; (* pids >= slot_fast_limit *)
   mutable slot_fast : int array; (* pid -> slot, -1 when unassigned *)
@@ -131,16 +125,27 @@ type ('s, 'm) t = {
   e_telemetry : Telemetry.t;
 }
 
+(* The fixed network model: a send is duplicated with probability
+   [dup_rate], a delivery attempt fires [min_delay, max_delay] after its
+   send and takes a uniformly random queued packet (reordering), and a
+   node's timer fires every [timer_min, timer_max]. Only the capacity and
+   the loss rate vary per engine. *)
+let dup_rate = 0.02
+let min_delay = 0.5
+let max_delay = 2.0
+let timer_min = 0.8
+let timer_max = 1.2
+
 let[@inline] uniform rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
 
 let schedule_timer t slot =
   Event_queue.push t.queue
-    ~at:(t.e_time +. uniform t.e_rng t.timer_min t.timer_max)
+    ~at:(t.e_time +. uniform t.e_rng timer_min timer_max)
     (timer_kind slot)
 
 let schedule_delivery t ~src_slot ~dst_slot =
   Event_queue.push t.queue
-    ~at:(t.e_time +. uniform t.e_rng t.min_delay t.max_delay)
+    ~at:(t.e_time +. uniform t.e_rng min_delay max_delay)
     (deliver_kind ~src_slot ~dst_slot)
 
 let find_slot t p =
@@ -226,9 +231,7 @@ let node t p =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" p)
 
-let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder = true)
-    ?(min_delay = 0.5) ?(max_delay = 2.0) ?(timer_min = 0.8) ?(timer_max = 1.2) ~behavior
-    ~pids () =
+let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
   let e_rng = Rng.create seed in
   let e_trace = Trace.create () in
   let e_telemetry = Telemetry.create () in
@@ -238,12 +241,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
       e_rng;
       capacity;
       loss;
-      dup;
-      reorder;
-      min_delay;
-      max_delay;
-      timer_min;
-      timer_max;
       slot_tbl = Hashtbl.create 16;
       slot_fast = Array.make 64 (-1);
       pid_of_slot = Array.make 16 (-1);
@@ -464,7 +461,7 @@ let flush_outbox t ~src_slot ctx =
          unboxed float, boxed afresh for the call. *)
       let dup =
         match t.profiles.(src_slot).(dst_slot) with
-        | None -> Rng.chance t.e_rng t.dup
+        | None -> Rng.chance t.e_rng dup_rate
         | Some p -> Rng.chance t.e_rng p.lp_dup
       in
       if dup then Channel.duplicate_head ch;
@@ -518,7 +515,7 @@ let exec_step t kind =
           | Some p -> Rng.chance t.e_rng p.lp_drop
         then Channel.drop_one ch t.e_rng
         else if not (Channel.is_empty ch) then begin
-          let msg = Channel.take ch t.e_rng ~reorder:t.reorder in
+          let msg = Channel.take ch t.e_rng in
           (* "bit flips": a profiled link occasionally mangles the packet
              through the installed mangler; without a mangler a flipped
              packet is unparseable and counts as dropped. Profile-free

@@ -50,20 +50,16 @@ val create :
   ?seed:int ->
   ?capacity:int ->
   ?loss:float ->
-  ?dup:float ->
-  ?reorder:bool ->
-  ?min_delay:float ->
-  ?max_delay:float ->
-  ?timer_min:float ->
-  ?timer_max:float ->
   behavior:('s, 'm) behavior ->
   pids:Pid.t list ->
   unit ->
   ('s, 'm) t
-(** Defaults: [seed 42], [capacity 8] (the paper's [cap]), [loss 0.02],
-    [dup 0.02], [reorder true], message delay uniform in
-    [\[min_delay, max_delay\] = \[0.5, 2.0\]], timer period uniform in
-    [\[timer_min, timer_max\] = \[0.8, 1.2\]]. *)
+(** Defaults: [seed 42], [capacity 8] (the paper's [cap]), [loss 0.02].
+    The rest of the network model is fixed: each send is duplicated with
+    probability 0.02, a delivery attempt fires a delay uniform in
+    [\[0.5, 2.0\]] after its send and takes a uniformly random queued
+    packet (channels reorder), and each node's timer period is uniform in
+    [\[0.8, 1.2\]]. *)
 
 (** {2 Observation} *)
 

@@ -18,11 +18,11 @@ let test_snap_link_completes () =
       (match SL.on_tick a with Some m -> Channel.send ab rng m | None -> ());
       (match SL.on_tick b with Some m -> Channel.send ba rng m | None -> ());
       (if not (Channel.is_empty ab) then
-         match SL.on_msg b (Channel.take ab rng ~reorder:true) with
+         match SL.on_msg b (Channel.take ab rng) with
          | Some reply, _ -> Channel.send ba rng reply
          | None, _ -> ());
       (if not (Channel.is_empty ba) then
-         match SL.on_msg a (Channel.take ba rng ~reorder:true) with
+         match SL.on_msg a (Channel.take ba rng) with
          | Some reply, _ -> Channel.send ab rng reply
          | None, _ -> ());
       if SL.phase a = SL.Clean_done && SL.phase b = SL.Clean_done then ()

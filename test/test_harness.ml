@@ -48,27 +48,18 @@ let render tables =
   |> List.map (Format.asprintf "%a" Table.pp)
   |> String.concat "\n"
 
+let run_all ~jobs registry =
+  List.map (fun (_, f) -> f ?jobs:(Some jobs) Experiments.quick_params) registry
+
 let test_experiments_jobs_byte_identical () =
-  let p = Experiments.quick_params in
-  let seq = render (Experiments.all ~jobs:1 p) in
-  let par = render (Experiments.all ~jobs:4 p) in
+  let seq = render (run_all ~jobs:1 Experiments.registry) in
+  let par = render (run_all ~jobs:4 Experiments.registry) in
   Alcotest.(check string) "experiment tables identical for jobs=1 and jobs=4" seq par
 
 let test_ablations_jobs_byte_identical () =
-  let p = Experiments.quick_params in
-  let seq = render (Ablations.all ~jobs:1 p) in
-  let par = render (Ablations.all ~jobs:4 p) in
+  let seq = render (run_all ~jobs:1 Experiments.ablations) in
+  let par = render (run_all ~jobs:4 Experiments.ablations) in
   Alcotest.(check string) "ablation tables identical for jobs=1 and jobs=4" seq par
-
-let test_registry_matches_all () =
-  let p = Experiments.quick_params in
-  Alcotest.(check (list string)) "registry ids" Experiments.ids
-    (List.map fst Experiments.registry);
-  let via_all = render (Experiments.all ~jobs:1 p) in
-  let via_registry =
-    render (List.map (fun (_, f) -> f ?jobs:(Some 1) p) Experiments.registry)
-  in
-  Alcotest.(check string) "registry produces the same tables as all" via_all via_registry
 
 let suites =
   [
@@ -86,6 +77,5 @@ let suites =
           test_experiments_jobs_byte_identical;
         Alcotest.test_case "ablations byte-identical across jobs" `Slow
           test_ablations_jobs_byte_identical;
-        Alcotest.test_case "registry matches all" `Slow test_registry_matches_all;
       ] );
   ]

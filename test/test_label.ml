@@ -185,14 +185,8 @@ let test_service_agreement_after_reconfig () =
          Label_service.agreed_max t <> None));
   (* delicate reconfiguration to a smaller member set (retry until the
      scheme is momentarily quiet enough to accept the proposal) *)
-  let rec propose n =
-    if n = 0 then Alcotest.fail "estab never accepted"
-    else if not (Reconfig.Stack.estab sys 1 (set [ 1; 2; 3 ])) then begin
-      Reconfig.Stack.run_rounds sys 2;
-      propose (n - 1)
-    end
-  in
-  propose 50;
+  Alcotest.(check bool) "estab accepted" true
+    (Reconfig.Stack.propose sys 1 (set [ 1; 2; 3 ]) ~tries:50);
   let settled t =
     match Reconfig.Stack.uniform_config t with
     | Some c -> Pid.Set.equal c (set [ 1; 2; 3 ]) && Label_service.agreed_max t <> None

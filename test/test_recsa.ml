@@ -86,11 +86,8 @@ let test_delicate_replacement () =
   Stack.run_rounds sys 20;
   let target = set [ 1; 2; 3 ] in
   Alcotest.(check bool) "estab accepted" true (Stack.estab sys 1 target);
-  let installed t =
-    match Stack.uniform_config t with Some c -> Pid.Set.equal c target | None -> false
-  in
   Alcotest.(check bool) "proposal installed everywhere" true
-    (Stack.run_until sys ~max_steps:300_000 (fun t -> installed t && Stack.quiescent t));
+    (Stack.run_until sys ~max_steps:300_000 (fun t -> Stack.installed t target));
   Alcotest.(check int) "no brute-force resets during delicate run" 0 (Stack.total_resets sys)
 
 let test_concurrent_proposals_single_winner () =
@@ -175,13 +172,9 @@ let test_recma_prediction_majority () =
   Stack.run_rounds sys 25;
   Stack.crash sys 1;
   Stack.crash sys 2;
-  let reconfigured t =
-    match Stack.uniform_config t with
-    | Some c -> Pid.Set.equal c (set [ 3; 4; 5 ]) && Stack.quiescent t
-    | None -> false
-  in
   Alcotest.(check bool) "prediction-driven reconfiguration" true
-    (Stack.run_until sys ~max_steps:800_000 reconfigured);
+    (Stack.run_until sys ~max_steps:800_000 (fun t ->
+         Stack.installed t (set [ 3; 4; 5 ])));
   Alcotest.(check bool) "triggered via recMA" true (Stack.total_triggers sys >= 1)
 
 let test_joiner_becomes_participant () =
@@ -492,7 +485,7 @@ let prop_channel_stats_conserved =
       let ch = Channel.create ~capacity:5 in
       for i = 1 to ops do
         if Rng.bool rng then Channel.send ch rng i
-        else if not (Channel.is_empty ch) then ignore (Channel.take ch rng ~reorder:true)
+        else if not (Channel.is_empty ch) then ignore (Channel.take ch rng)
       done;
       let st = Channel.stats ch in
       st.Channel.sent

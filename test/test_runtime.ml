@@ -237,8 +237,8 @@ let pp_conf fmt = function
 let conf = Alcotest.testable pp_conf (Option.equal Pid.Set.equal)
 
 (* One scenario, written once against the system API: bootstrap to the
-   members' configuration, then corrupt every live node and recover to it
-   through brute-force resets. *)
+   members' configuration, corrupt every live node and recover to it
+   through brute-force resets, then replace it delicately. *)
 let bootstrap_and_recover name (module S : Stack.SYSTEM) =
   let members = [ 1; 2; 3 ] in
   let expect = Some (set members) in
@@ -258,7 +258,17 @@ let bootstrap_and_recover name (module S : Stack.SYSTEM) =
   quiesce "after corrupting every node";
   Alcotest.check conf (name ^ " recovers the configuration") expect (S.uniform_config sys);
   Alcotest.(check bool) (name ^ " recovered through a reset") true
-    (S.total_resets sys > resets)
+    (S.total_resets sys > resets);
+  let target = set [ 1; 2 ] in
+  Alcotest.(check bool) (name ^ " accepts the proposal") true
+    (S.propose sys 1 target ~tries:50);
+  quiesce "after the replacement";
+  Alcotest.(check bool) (name ^ " installed the proposal") true (S.installed sys target);
+  (* estab refuses an empty set: every try is spent, 2 rounds apart *)
+  let start = S.rounds sys in
+  Alcotest.(check bool) (name ^ " refuses an empty proposal") false
+    (S.propose sys 1 Pid.Set.empty ~tries:3);
+  Alcotest.(check int) (name ^ " rounds spent on refusals") 6 (S.rounds sys - start)
 
 let test_stack_on_both_runtimes () =
   bootstrap_and_recover "sim" (module Stack);

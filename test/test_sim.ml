@@ -230,24 +230,14 @@ let test_channel_capacity () =
   Alcotest.(check int) "sent counted" 20 (Channel.stats ch).Channel.sent;
   Alcotest.(check bool) "drops counted" true ((Channel.stats ch).Channel.dropped >= 16)
 
-let test_channel_fifo_without_reorder () =
-  let rng = Rng.create 2 in
-  let ch = Channel.create ~capacity:10 in
-  List.iter (Channel.send ch rng) [ 1; 2; 3 ];
-  let take () = Channel.take ch rng ~reorder:false in
-  Alcotest.(check int) "first" 1 (take ());
-  Alcotest.(check int) "second" 2 (take ());
-  Alcotest.(check int) "third" 3 (take ());
-  Alcotest.(check bool) "empty" true (Channel.is_empty ch);
-  Alcotest.check_raises "take empty" (Invalid_argument "Channel.take: empty channel")
-    (fun () -> ignore (take ()))
-
 let test_channel_corrupt_and_clear () =
   let ch = Channel.create ~capacity:3 in
   Channel.corrupt ch [ 9; 8; 7; 6; 5 ];
   Alcotest.(check int) "truncated to capacity" 3 (Channel.length ch);
   Channel.clear ch;
-  Alcotest.(check bool) "cleared" true (Channel.is_empty ch)
+  Alcotest.(check bool) "cleared" true (Channel.is_empty ch);
+  Alcotest.check_raises "take empty" (Invalid_argument "Channel.take: empty channel")
+    (fun () -> ignore (Channel.take ch (Rng.create 2)))
 
 (* --- Trace --- *)
 
@@ -483,13 +473,11 @@ module Ref_channel = struct
       if Rng.bool rng then t.q <- replace_nth t.q (Rng.int rng len) pkt
     end
 
-  let take t rng ~reorder =
+  let take t rng =
     match t.q with
     | [] -> None
     | _ ->
-      let len = List.length t.q in
-      let idx = if reorder then Rng.int rng len else 0 in
-      let pkt, rest = remove_nth t.q idx in
+      let pkt, rest = remove_nth t.q (Rng.int rng (List.length t.q)) in
       t.q <- rest;
       t.delivered <- t.delivered + 1;
       Some pkt
@@ -529,13 +517,11 @@ let test_channel_matches_list_model () =
         | 0 | 1 | 2 | 3 ->
           Channel.send ring rng_ring i;
           Ref_channel.send refc rng_ref i
-        | (4 | 5) as op ->
-          let reorder = op = 4 in
+        | 4 | 5 ->
           let a =
-            if Channel.is_empty ring then None
-            else Some (Channel.take ring rng_ring ~reorder)
+            if Channel.is_empty ring then None else Some (Channel.take ring rng_ring)
           in
-          let b = Ref_channel.take refc rng_ref ~reorder in
+          let b = Ref_channel.take refc rng_ref in
           Alcotest.(check (option int)) "take" b a
         | 6 ->
           Channel.duplicate_head ring;
@@ -638,7 +624,6 @@ let suites =
     ( "sim.channel",
       [
         Alcotest.test_case "capacity bound" `Quick test_channel_capacity;
-        Alcotest.test_case "fifo without reorder" `Quick test_channel_fifo_without_reorder;
         Alcotest.test_case "corrupt and clear" `Quick test_channel_corrupt_and_clear;
         Alcotest.test_case "matches list reference model" `Quick
           test_channel_matches_list_model;

@@ -240,13 +240,6 @@ let test_event_table () =
 
 (* --- result tables --- *)
 
-let test_table_csv () =
-  let t =
-    Harness.Table.make ~id:"T" ~title:"t" ~claim:"c" ~header:[ "a"; "b" ]
-      [ [ "1"; "2" ]; [ "3"; "4" ] ]
-  in
-  Alcotest.(check string) "csv" "a,b\n1,2\n3,4" (Harness.Table.to_csv t)
-
 let test_table_pp_alignment () =
   let t =
     Harness.Table.make ~id:"T" ~title:"widths" ~claim:"c"
@@ -281,7 +274,6 @@ let suites =
     ("event.unit", [ Alcotest.test_case "trace and telemetry" `Quick test_event_table ]);
     ( "harness.table",
       [
-        Alcotest.test_case "csv" `Quick test_table_csv;
         Alcotest.test_case "pp" `Quick test_table_pp_alignment;
       ] );
   ]
